@@ -6,23 +6,19 @@ Commands:
   stats (IPC, stalls, release breakdown).
 * ``compare`` — all four schemes side by side on one benchmark.
 * ``figure`` — regenerate one of the paper's figures (fig01..fig15,
-  sec44), or ``all`` of them; ``--jobs N`` shards the sweep over worker
-  processes and the persistent result store makes re-runs warm.
+  sec44), or ``all`` of them; ``--jobs N`` shards the sweep over forked
+  worker processes (which inherit the traces this process builds) and
+  the persistent result store makes re-runs warm.
 * ``sweep`` — run an explicit benchmark x rf-size x scheme grid through
   the parallel harness and print the IPC table.
 * ``validate`` — seeded fault-injection campaign: every cell runs with
   the online invariant sanitizer attached and is differentially verified
   against the golden emulator; exits non-zero on any violation.
 * ``cache`` — inspect (``info``), empty (``clear``), or garbage-collect
-  (``gc --max-bytes|--max-age``) the persistent result store
+  (``gc --max-bytes|--max-age``: least-recently-used and age eviction,
+  stale code generations first) the persistent result store
   (``~/.cache/repro`` or ``$REPRO_CACHE_DIR``).
-* ``serve`` — run the sweep service: durable job queue + socket API +
-  local worker pool; clients and remote workers connect to it.
-* ``submit`` / ``status`` / ``watch`` / ``cancel`` — async sweep-job
-  clients against a running service (``--addr`` or
-  ``$REPRO_SERVICE_ADDR``).
-* ``work`` — join this host's cores to a remote coordinator
-  (multi-host sharding; results travel back over the socket).
+* ``bench`` — time the simulator's own throughput (``bench core``).
 * ``analyze`` — trace-level atomic-region analysis of a benchmark;
   ``analyze static [BENCH...]`` prints the static memory-dependence /
   ATR-opportunity table (regions, alias verdicts, forwardable loads,
@@ -48,7 +44,6 @@ CLI layer; ``tests/test_registry.py`` asserts the derivation.
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 from typing import List, Optional
 
@@ -78,6 +73,18 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _non_negative(kind):
+    """argparse type: *kind* (int or float) parsed from text, >= 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
+    parse.__name__ = f"non-negative {kind.__name__}"
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -134,12 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: all cores)")
     figure.add_argument("-v", "--verbose", action="store_true",
                         help="per-cell progress lines on stderr")
-    figure.add_argument("--remote", nargs="?", const="", default=None,
-                        metavar="HOST:PORT",
-                        help="resolve cold cells through a running "
-                             "`repro serve` (default $REPRO_SERVICE_ADDR "
-                             "or 127.0.0.1:7341); falls back to local "
-                             "execution when no service answers")
 
     swp = sub.add_parser("sweep", help="run a benchmark x rf x scheme grid "
                                        "through the parallel harness")
@@ -177,22 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("-d", "--redefine-delay", type=int, default=0)
     val.add_argument("--quick", action="store_true",
                      help="small smoke campaign: 2 benchmarks, 1 rf size, "
-                          "2 seeds, 1500 instructions (with --service: "
-                          "6 seeded fault schedules)")
+                          "2 seeds, 1500 instructions")
     val.add_argument("-j", "--jobs", type=_positive_int, default=None,
                      help="worker processes (default: all cores)")
     val.add_argument("-v", "--verbose", action="store_true",
                      help="per-cell progress lines on stderr")
-    val.add_argument("--service", action="store_true",
-                     help="service-chaos campaign instead: seeded fault "
-                          "schedules (transport/queue-fs/worker-crash/"
-                          "coordinator-restart) against a live sweep "
-                          "service, asserting exactly-once execution")
-    val.add_argument("--schedules", type=_positive_int, default=50,
-                     help="--service: seeded fault schedules (default 50)")
-    val.add_argument("--fault-seed", type=int, default=0,
-                     help="--service: base seed for the schedule grid "
-                          "(default 0)")
 
     bench = sub.add_parser(
         "bench", help="benchmark the simulator's own throughput")
@@ -220,90 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser("cache", help="manage the persistent result store")
     cache.add_argument("action", choices=["info", "clear", "gc"])
-    cache.add_argument("--max-bytes", type=int, default=None,
+    cache.add_argument("--max-bytes", type=_non_negative(int), default=None,
                        help="gc: evict least-recently-used entries (stale "
                             "generations first) until the cache fits")
-    cache.add_argument("--max-age", type=float, default=None,
+    cache.add_argument("--max-age", type=_non_negative(float), default=None,
                        help="gc: evict entries not read/written for this "
                             "many seconds")
-
-    serve = sub.add_parser(
-        "serve", help="run the sweep service (job queue + worker pool)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1; 0.0.0.0 to "
-                            "accept remote workers/clients)")
-    serve.add_argument("-p", "--port", type=int, default=7341,
-                       help="TCP port (default 7341; 0 picks a free port)")
-    serve.add_argument("-w", "--workers", type=int, default=None,
-                       help="local worker processes (default: all cores; "
-                            "0 = coordinator only)")
-    serve.add_argument("--lease", type=float, default=None,
-                       help="cell lease seconds before crash-requeue "
-                            "(default 600, or $REPRO_CELL_TIMEOUT)")
-    serve.add_argument("--token", default=None,
-                       help="shared-secret auth token required on every "
-                            "op (default $REPRO_SERVICE_TOKEN; strongly "
-                            "recommended for non-loopback binds)")
-
-    submit = sub.add_parser(
-        "submit", help="submit an async sweep job to a running service")
-    submit.add_argument("-b", "--benchmarks",
-                        default="mcf,deepsjeng,bwaves,namd",
-                        help="comma-separated suite names")
-    submit.add_argument("-r", "--rf-sizes", default="64",
-                        help="comma-separated register file sizes")
-    submit.add_argument("-s", "--schemes", default=all_schemes_csv,
-                        help="comma-separated release schemes "
-                             "(default: every registered scheme)")
-    submit.add_argument("-n", "--instructions", type=int, default=None)
-    submit.add_argument("-d", "--redefine-delay", type=int, default=0)
-    submit.add_argument("--quick", action="store_true",
-                        help="2 int + 2 fp benchmarks, 1 rf size")
-    submit.add_argument("--priority", type=int, default=0,
-                        help="queue priority (higher runs first)")
-    submit.add_argument("--label", default="cli",
-                        help="job label shown in status listings")
-    submit.add_argument("--watch", action="store_true",
-                        help="stream progress until the job finishes")
-    submit.add_argument("--addr", default=None, metavar="HOST:PORT",
-                        help="service address (default $REPRO_SERVICE_ADDR "
-                             "or 127.0.0.1:7341)")
-    submit.add_argument("--token", default=None,
-                    help="service auth token "
-                         "(default $REPRO_SERVICE_TOKEN)")
-
-    status = sub.add_parser("status", help="job/queue status of a service")
-    status.add_argument("job", nargs="?", default=None,
-                        help="job id (omit for the queue overview)")
-    status.add_argument("--addr", default=None, metavar="HOST:PORT")
-    status.add_argument("--token", default=None,
-                    help="service auth token "
-                         "(default $REPRO_SERVICE_TOKEN)")
-
-    watch = sub.add_parser("watch", help="stream a job's progress")
-    watch.add_argument("job", help="job id (from `repro submit`)")
-    watch.add_argument("--addr", default=None, metavar="HOST:PORT")
-    watch.add_argument("--token", default=None,
-                     help="service auth token "
-                          "(default $REPRO_SERVICE_TOKEN)")
-
-    cancel = sub.add_parser("cancel", help="cancel a queued job")
-    cancel.add_argument("job", help="job id")
-    cancel.add_argument("--addr", default=None, metavar="HOST:PORT")
-    cancel.add_argument("--token", default=None,
-                    help="service auth token "
-                         "(default $REPRO_SERVICE_TOKEN)")
-
-    work = sub.add_parser(
-        "work", help="run worker processes against a remote coordinator")
-    work.add_argument("--addr", default=None, metavar="HOST:PORT",
-                      help="coordinator address (default "
-                           "$REPRO_SERVICE_ADDR or 127.0.0.1:7341)")
-    work.add_argument("-w", "--workers", type=int, default=None,
-                      help="worker processes (default: all cores)")
-    work.add_argument("--token", default=None,
-                  help="service auth token "
-                       "(default $REPRO_SERVICE_TOKEN)")
 
     analyze = sub.add_parser(
         "analyze",
@@ -467,15 +379,6 @@ def _cmd_figure(args) -> int:
     from .experiments import ALL_FIGURES
     from .harness import SweepError, set_default_progress
 
-    remote_client = None
-    if args.remote is not None:
-        from .service import use_remote
-
-        remote_client = use_remote(args.remote or None, label="figure")
-        if remote_client is None:
-            print("figure: no repro service reachable; running locally",
-                  file=sys.stderr)
-
     if args.name == "all":
         names = list(ALL_FIGURES)
     elif args.name in ALL_FIGURES:
@@ -504,10 +407,6 @@ def _cmd_figure(args) -> int:
                 print()
     finally:
         set_default_progress(None)
-        if remote_client is not None:
-            from .service import clear_remote
-
-            clear_remote()
     progress.emit_summary()
     if failed:
         print(f"FAILED figures: {', '.join(failed)}", file=sys.stderr)
@@ -558,8 +457,6 @@ def _cmd_validate(args) -> int:
     from .validate import campaign_specs, run_campaign
     from .workloads import resolve
 
-    if args.service:
-        return _cmd_validate_service(args)
     if args.quick:
         benchmarks = ["505.mcf_r", "503.bwaves_r"]
         rf_sizes = [28]
@@ -595,25 +492,6 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_validate_service(args) -> int:
-    """``repro validate --service``: seeded fault schedules against a
-    live serve/work topology, asserting exactly-once execution."""
-    from .validate import run_service_campaign
-
-    schedules = 6 if args.quick else args.schedules
-    print(f"validate --service: {schedules} seeded fault schedule(s), "
-          f"base seed {args.fault_seed}")
-    report = run_service_campaign(
-        schedules=schedules,
-        base_seed=args.fault_seed,
-        progress=lambda line: print(line, flush=True),
-    )
-    # Per-schedule lines already streamed via progress; print the tail
-    # (totals, class coverage, replay verdict, failure detail) only.
-    print("\n".join(report.render().splitlines()[len(report.schedules):]))
-    return 0 if report.ok else 1
-
-
 def _cmd_cache(args) -> int:
     from .harness import ResultStore
 
@@ -623,7 +501,7 @@ def _cmd_cache(args) -> int:
         print(f"removed {removed} cached result(s) from {store.root}")
         return 0
     if args.action == "gc":
-        from .service import run_gc
+        from .harness.store import run_gc
 
         if args.max_bytes is None and args.max_age is None:
             print("cache gc: pass --max-bytes and/or --max-age",
@@ -633,9 +511,7 @@ def _cmd_cache(args) -> int:
                         max_age=args.max_age)
         print(report.render())
         return 0
-    from .service import cache_report
-
-    info = cache_report(store)
+    info = store.info()
     print(f"cache root:       {info['root']}")
     print(f"code fingerprint: {info['fingerprint'][:16]}")
     print(f"entries:          {info['entries']} ({info['bytes']} bytes)")
@@ -645,200 +521,6 @@ def _cmd_cache(args) -> int:
               f"{generation['bytes']} bytes{marker}")
     if not info["generations"]:
         print("  (empty)")
-    lifetime = info["counters"]["lifetime"]
-    rate = (f", hit rate {info['hit_rate']:.1%}"
-            if info["hit_rate"] is not None else "")
-    print(f"lifetime:         {lifetime['hits']} hits, "
-          f"{lifetime['misses']} misses, {lifetime['puts']} puts, "
-          f"{lifetime['evictions']} evictions{rate}")
-    session = info["counters"]["session"]
-    print(f"this process:     {session['hits']} hits, "
-          f"{session['misses']} misses, {session['puts']} puts")
-    return 0
-
-
-def _submit_specs(args):
-    """The spec grid of a ``repro submit`` invocation."""
-    from .experiments.runner import cell_spec
-    from .workloads import resolve
-
-    if args.quick:
-        benchmarks = ["505.mcf_r", "531.deepsjeng_r",
-                      "503.bwaves_r", "508.namd_r"]
-        rf_sizes = [64]
-    else:
-        benchmarks = [resolve(b.strip())
-                      for b in args.benchmarks.split(",") if b.strip()]
-        rf_sizes = [int(r) for r in args.rf_sizes.split(",") if r.strip()]
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    return [
-        cell_spec(benchmark, rf_size, scheme, args.instructions,
-                  redefine_delay=args.redefine_delay)
-        for benchmark in benchmarks
-        for rf_size in rf_sizes
-        for scheme in schemes
-    ]
-
-
-def _render_job(job: dict) -> str:
-    label = f" [{job['label']}]" if job.get("label") else ""
-    eta = ""
-    if job.get("eta") is not None and job["state"] in ("pending", "running"):
-        eta = f", ~{job['eta']:.0f}s left"
-    return (f"{job['id']}{label}: {job['state']}  "
-            f"{job['done']}/{job['total']} done, "
-            f"{job['leased']} running, {job['pending']} pending"
-            + (f", {job['dead']} FAILED" if job["dead"] else "") + eta)
-
-
-def _watch_to_completion(client, job_id: str) -> int:
-    last_done = -1
-    final = {}
-    for event in client.watch(job_id):
-        job = event.get("job", {})
-        if job.get("done") != last_done or event.get("event") == "done":
-            print(_render_job(job), flush=True)
-            last_done = job.get("done")
-        if event.get("event") == "done":
-            final = job
-            break
-    for cell in final.get("failed_cells", []):
-        print(f"  failed: {cell.get('digest', '?')[:16]} "
-              f"{cell.get('error')}", file=sys.stderr)
-    return 0 if final.get("state") == "done" else 1
-
-
-def _cmd_serve(args) -> int:
-    from .harness import default_timeout
-    from .service import resolve_token, run_service
-
-    lease = args.lease if args.lease is not None else default_timeout()
-    workers = args.workers if args.workers is not None else _default_jobs()
-    return run_service(host=args.host, port=args.port, workers=workers,
-                       lease=lease, token=resolve_token(args.token))
-
-
-def _cmd_submit(args) -> int:
-    import time
-
-    from .harness import spec_to_dict
-    from .service import ServiceClient, ServiceError
-
-    specs = _submit_specs(args)
-    client = ServiceClient(args.addr, token=args.token)
-    started = time.monotonic()
-    try:
-        receipt = client.submit([spec_to_dict(s) for s in specs],
-                                priority=args.priority, label=args.label)
-    except ServiceError as exc:
-        print(f"submit: {exc}", file=sys.stderr)
-        return 1
-    print(f"job {receipt['job']}: {receipt['total']} cells "
-          f"({receipt['new']} new, {receipt['coalesced']} coalesced, "
-          f"{receipt['warm']} warm)")
-    if not args.watch:
-        return 0
-    code = _watch_to_completion(client, receipt["job"])
-    print(f"elapsed {time.monotonic() - started:.2f}s")
-    return code
-
-
-def _cmd_status(args) -> int:
-    from .service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.addr, token=args.token)
-    try:
-        reply = client.status(args.job)
-        degraded = client.ping().get("degraded")
-    except ServiceError as exc:
-        print(f"status: {exc}", file=sys.stderr)
-        return 1
-    if degraded:
-        print(f"SERVICE DEGRADED (read-only): {degraded}", file=sys.stderr)
-    if args.job is not None:
-        print(_render_job(reply["job"]))
-        for cell in reply["job"].get("failed_cells", []):
-            print(f"  failed: {cell.get('digest', '?')[:16]} "
-                  f"{cell.get('error')}")
-        return 0
-    stats = reply["stats"]
-    cells = stats["cells"]
-    print(f"queue {stats['root']}: {cells['pending']} pending, "
-          f"{cells['leased']} leased, {cells['done']} done, "
-          f"{cells['dead']} dead")
-    counters = stats["counters"]
-    if counters:
-        print("counters: " + ", ".join(
-            f"{key} {value}" for key, value in sorted(counters.items())))
-    for host in stats["hosts"]:
-        liveness = "alive" if host["alive"] else "gone"
-        errors = (host.get("meta") or {}).get("errors") or {}
-        error_text = ""
-        if errors:
-            error_text = ", errors: " + ", ".join(
-                f"{key} {value}" for key, value in sorted(errors.items()))
-        print(f"host {host['host']}: {host.get('workers', '?')} worker(s), "
-              f"{liveness}{error_text}")
-    for job in reply["jobs"][:20]:
-        print(_render_job(job))
-    return 0
-
-
-def _cmd_watch(args) -> int:
-    from .service import ServiceClient, ServiceError
-
-    try:
-        return _watch_to_completion(
-            ServiceClient(args.addr, token=args.token), args.job)
-    except ServiceError as exc:
-        print(f"watch: {exc}", file=sys.stderr)
-        return 1
-
-
-def _cmd_cancel(args) -> int:
-    from .service import ServiceClient, ServiceError
-
-    try:
-        cancelled = ServiceClient(args.addr, token=args.token).cancel(args.job)
-    except ServiceError as exc:
-        print(f"cancel: {exc}", file=sys.stderr)
-        return 1
-    print(f"{args.job}: {'cancelled' if cancelled else 'not cancellable'}")
-    return 0 if cancelled else 1
-
-
-def _cmd_work(args) -> int:
-    from .service import ServiceClient, ServiceError, ServiceUnavailable, \
-        format_addr, resolve_addr, resolve_token, spawn_workers
-
-    addr = format_addr(resolve_addr(args.addr))
-    token = resolve_token(args.token)
-    try:
-        ServiceClient(addr, token=token).ping()
-    except (ServiceUnavailable, ServiceError) as exc:
-        print(f"work: {exc}", file=sys.stderr)
-        return 1
-    count = args.workers if args.workers is not None else _default_jobs()
-    print(f"work: {count} worker(s) pulling from {addr}")
-
-    # `kill <pid>` must take the pool down with it, not orphan workers
-    # that keep claiming leases (same contract as `repro serve`).
-    def _on_sigterm(signum, frame):
-        raise KeyboardInterrupt
-
-    previous_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
-    processes = spawn_workers(addr, count, token=token)
-    try:
-        for process in processes:
-            process.join()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        for process in processes:
-            process.terminate()
-        for process in processes:
-            process.join(2.0)
-        signal.signal(signal.SIGTERM, previous_sigterm)
     return 0
 
 
@@ -1116,12 +798,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "validate": _cmd_validate,
     "cache": _cmd_cache,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
-    "status": _cmd_status,
-    "watch": _cmd_watch,
-    "cancel": _cmd_cancel,
-    "work": _cmd_work,
     "analyze": _cmd_analyze,
     "lint": _cmd_lint,
     "list": _cmd_list,

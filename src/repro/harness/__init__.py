@@ -12,9 +12,10 @@ execution a first-class subsystem:
 * **store** (:mod:`.store`): content-addressed cache under
   ``~/.cache/repro`` (``$REPRO_CACHE_DIR``), keyed by spec digest and a
   code-version fingerprint — warm across invocations, auto-invalidated
-  on simulator edits.
+  on simulator edits, trimmed by LRU/age gc (``repro cache gc``).
 * **scheduler** (:mod:`.scheduler`): shards cold specs over forked
-  workers (``--jobs N``), per-cell timeout + one retry, serial fallback.
+  workers (``--jobs N``) that inherit the traces the sweep process
+  built, per-cell timeout + one retry, serial fallback.
 * **progress** (:mod:`.progress`): live narration + end-of-sweep summary.
 * **sweep** (:mod:`.sweep`): the one call sites use — dedup, warm-cache
   lookup, schedule, persist.
@@ -57,9 +58,7 @@ from .sweep import (
     SweepError,
     SweepReport,
     get_default_progress,
-    get_remote_resolver,
     set_default_progress,
-    set_remote_resolver,
     sweep,
 )
 
@@ -75,5 +74,4 @@ __all__ = [
     "SweepProgress",
     "sweep", "SweepReport", "SweepError",
     "set_default_progress", "get_default_progress",
-    "set_remote_resolver", "get_remote_resolver",
 ]

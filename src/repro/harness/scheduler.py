@@ -2,9 +2,12 @@
 
 Each cold spec runs in its own forked worker with a per-cell deadline;
 a worker that hangs is terminated and the cell retried once (then
-reported as a failure without sinking the sweep).  Results travel back
-through the same JSON encoding the persistent store uses, so parallel
-and serial execution produce byte-identical result objects.
+reported as a failure without sinking the sweep).  The scheduler builds
+each spec's trace before forking its worker, so workers inherit traces
+copy-on-write and every distinct trace is emulated once per sweep
+process, not once per cell.  Results travel back through the same JSON
+encoding the persistent store uses, so parallel and serial execution
+produce byte-identical result objects.
 
 With ``jobs=1`` — or on platforms without the ``fork`` start method —
 the scheduler degrades to plain in-process execution (no per-cell
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..workloads import build_trace
 from .jobs import execute_spec, execute_spec_diagnose
 from .progress import SweepProgress
 from .serialize import decode_result, encode_result
@@ -82,6 +86,20 @@ def _worker(executor: Callable, spec: Spec, conn) -> None:
             pass
     finally:
         conn.close()
+
+
+def _build_inherited_trace(spec: Spec) -> None:
+    """Build (or LRU-hit) *spec*'s trace in this process, so the worker
+    forked next inherits it instead of emulating it again.
+
+    A spec without ``benchmark`` and ``instructions``, or whose trace
+    cannot be built, is left to the worker: an executor that needs the
+    trace hits the same error there, where it fails only its own cell.
+    """
+    try:
+        build_trace(spec.benchmark, spec.instructions)
+    except Exception:
+        pass
 
 
 def _retry_delay(backoff: float, attempt: int) -> float:
@@ -191,6 +209,7 @@ def _run_parallel(specs, jobs, timeout, retries, executor, progress, context,
                 if time.monotonic() < ready_at:
                     break
                 pending.popleft()
+                _build_inherited_trace(spec)
                 run = _pick_executor(executor, diagnostic_executor, attempt)
                 receiver, sender = context.Pipe(duplex=False)
                 process = context.Process(

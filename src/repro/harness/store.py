@@ -3,8 +3,6 @@
 Layout::
 
     <root>/                     ~/.cache/repro, or $REPRO_CACHE_DIR
-      stats.json                lifetime hit/miss/put/eviction counters
-      stats.lock                flock guard for counter updates
       v-<fingerprint16>/        one generation per code version
         <kind>-<digest16>.json  {"spec": ..., "result": ..., "elapsed": ...}
 
@@ -14,16 +12,19 @@ automatically — and editing the simulator silently invalidates the
 cache (stale generations stay on disk until ``repro cache clear`` or
 ``repro cache gc``).  Writes are atomic (tmp file + ``os.replace``);
 corrupt or unreadable entries read as misses, are deleted, and emit a
-warning.  A hit touches the entry's mtime so ``cache gc`` can evict
-least-recently-used entries.  Set ``REPRO_NO_CACHE=1`` to disable the
-default store entirely.
+warning.  Set ``REPRO_NO_CACHE=1`` to disable the default store
+entirely.
 
-Accounting happens at two levels: per-instance session counters
-(``hits``/``misses``/``puts``) and lifetime counters persisted in
-``stats.json`` under an ``fcntl`` file lock, so every process writing
-through one root — sweep clients, service workers, the server — adds up
-to one coherent total (the service's dedup proof reads the lifetime
-``puts`` counter).
+The store only grows on its own; :func:`run_gc` (``repro cache gc``)
+reclaims space by two rules:
+
+* **age** (``max_age`` seconds): entries not read or written for longer
+  than the limit are evicted — a hit touches the entry's mtime, so
+  mtime is a last-use clock;
+* **size** (``max_bytes``): least-recently-used entries are evicted
+  until the cache fits, entries of *stale* generations (any ``v-*``
+  directory other than the current fingerprint's) before warm
+  current-generation results.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 import warnings
-from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -43,11 +45,6 @@ from .spec import Spec, spec_digest, spec_to_dict
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 DEFAULT_CACHE_DIR = "~/.cache/repro"
-
-STATS_FILE = "stats.json"
-STATS_LOCK = "stats.lock"
-#: Lifetime counter names tracked in ``stats.json``.
-STATS_KEYS = ("hits", "misses", "puts", "evictions")
 
 _fingerprint_cache: Dict[str, str] = {}
 
@@ -60,9 +57,9 @@ def fingerprint_sources(package_dir: Optional[Path] = None) -> List[Path]:
     """Every source file the code fingerprint covers, sorted.
 
     Walks the package tree rather than a hard-coded module list, so a
-    new subpackage (``repro.service``, …) can never be silently missing
-    from the fingerprint; ``tests/test_harness_store.py`` asserts every
-    subpackage is represented.
+    new subpackage can never be silently missing from the fingerprint;
+    ``tests/test_harness_store.py`` asserts every subpackage is
+    represented.
     """
     if package_dir is None:
         package_dir = Path(__file__).resolve().parent.parent
@@ -86,31 +83,6 @@ def code_fingerprint(package_dir: Optional[Path] = None) -> str:
     return _fingerprint_cache[key]
 
 
-@contextmanager
-def _file_lock(path: Path):
-    """Exclusive advisory lock on *path* (created on demand).
-
-    Serializes cross-process read-modify-write of the shared counter
-    file; on platforms without ``fcntl`` (Windows) it degrades to
-    lock-free best effort — counters may undercount there, never crash.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = open(path, "a+")
-    try:
-        try:
-            import fcntl
-        except ImportError:  # pragma: no cover - non-POSIX fallback
-            yield
-        else:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-    finally:
-        handle.close()
-
-
 class ResultStore:
     """Spec-addressed result cache under one root directory."""
 
@@ -118,11 +90,9 @@ class ResultStore:
                  fingerprint: Optional[str] = None):
         self.root = Path(root) if root is not None else cache_root()
         self.fingerprint = fingerprint or code_fingerprint()
-        #: Session counters (this instance only); lifetime totals live in
-        #: ``stats.json`` and are visible through :meth:`counters`.
+        #: Lookups answered (or not) by this instance.
         self.hits = 0
         self.misses = 0
-        self.puts = 0
 
     # -- paths -------------------------------------------------------------------
     @property
@@ -131,48 +101,6 @@ class ResultStore:
 
     def path_for(self, spec: Spec) -> Path:
         return self.generation_dir / f"{spec.kind}-{spec_digest(spec)[:16]}.json"
-
-    def contains(self, spec: Spec) -> bool:
-        """Cheap presence probe (no decode, no counter update)."""
-        return self.path_for(spec).is_file()
-
-    # -- lifetime counters -------------------------------------------------------
-    @property
-    def _stats_path(self) -> Path:
-        return self.root / STATS_FILE
-
-    def _bump(self, **deltas: int) -> None:
-        """Add *deltas* to the persistent lifetime counters (flock'd)."""
-        try:
-            with _file_lock(self.root / STATS_LOCK):
-                totals = self._read_counters()
-                for key, delta in deltas.items():
-                    totals[key] = totals.get(key, 0) + delta
-                fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(totals, handle)
-                os.replace(tmp, self._stats_path)
-        except OSError:
-            # Counters are accounting, not correctness: a read-only or
-            # vanished cache root must never fail a get/put.
-            pass
-
-    def _read_counters(self) -> Dict[str, int]:
-        try:
-            data = json.loads(self._stats_path.read_text())
-        except (OSError, ValueError):
-            return {}
-        return {k: int(v) for k, v in data.items() if isinstance(v, (int, float))}
-
-    def counters(self) -> Dict[str, Dict[str, int]]:
-        """Session (this instance) and lifetime (all processes) counters."""
-        lifetime = {key: 0 for key in STATS_KEYS}
-        lifetime.update(self._read_counters())
-        return {
-            "session": {"hits": self.hits, "misses": self.misses,
-                        "puts": self.puts},
-            "lifetime": lifetime,
-        }
 
     # -- access ------------------------------------------------------------------
     def get(self, spec: Spec):
@@ -183,7 +111,6 @@ class ResultStore:
             result = decode_result(payload["result"])
         except FileNotFoundError:
             self.misses += 1
-            self._bump(misses=1)
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
             # Corrupt entry (interrupted write of an old layout, truncated
@@ -192,10 +119,8 @@ class ResultStore:
                           f"({type(exc).__name__}: {exc})", stacklevel=2)
             path.unlink(missing_ok=True)
             self.misses += 1
-            self._bump(misses=1)
             return None
         self.hits += 1
-        self._bump(hits=1)
         try:
             os.utime(path)  # LRU clock for `cache gc`
         except OSError:
@@ -225,8 +150,6 @@ class ResultStore:
             # KeyboardInterrupt/SystemExit propagate untouched.
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        self.puts += 1
-        self._bump(puts=1)
         return path
 
     # -- management --------------------------------------------------------------
@@ -252,7 +175,6 @@ class ResultStore:
             "generations": generations,
             "entries": total_entries,
             "bytes": total_bytes,
-            "counters": self.counters(),
         }
 
     def clear(self) -> int:
@@ -268,9 +190,120 @@ class ResultStore:
                 directory.rmdir()
             except OSError:
                 pass
-        if removed:
-            self._bump(evictions=removed)
         return removed
+
+
+@dataclass
+class CacheEntry:
+    """One cached result file, with the facts eviction needs."""
+
+    path: Path
+    bytes: int
+    mtime: float
+    generation: str
+    current: bool
+
+
+@dataclass
+class GcReport:
+    """What one gc pass did."""
+
+    scanned: int
+    removed: int
+    freed_bytes: int
+    kept: int
+    kept_bytes: int
+
+    def render(self) -> str:
+        return (f"cache gc: removed {self.removed}/{self.scanned} entries "
+                f"({self.freed_bytes} bytes freed), "
+                f"kept {self.kept} ({self.kept_bytes} bytes)")
+
+
+def scan_entries(store: ResultStore) -> List[CacheEntry]:
+    """Every result entry under the store root, all generations."""
+    entries: List[CacheEntry] = []
+    if not store.root.is_dir():
+        return entries
+    for directory in sorted(store.root.glob("v-*")):
+        current = directory == store.generation_dir
+        for path in directory.glob("*.json"):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # raced with a concurrent eviction
+            entries.append(CacheEntry(path, stat.st_size, stat.st_mtime,
+                                      directory.name, current))
+    return entries
+
+
+def plan_gc(entries: List[CacheEntry],
+            max_bytes: Optional[int] = None,
+            max_age: Optional[float] = None,
+            now: Optional[float] = None) -> List[CacheEntry]:
+    """The entries a gc pass should evict, in eviction order.
+
+    Raises ValueError on a negative limit: no cache fits under one, so
+    honouring it would silently evict everything.
+    """
+    for name, limit in (("max_bytes", max_bytes), ("max_age", max_age)):
+        if limit is not None and limit < 0:
+            raise ValueError(f"{name} must be >= 0, got {limit}")
+    now = time.time() if now is None else now
+    doomed: List[CacheEntry] = []
+    doomed_paths = set()
+
+    if max_age is not None:
+        for entry in entries:
+            if now - entry.mtime > max_age:
+                doomed.append(entry)
+                doomed_paths.add(entry.path)
+
+    if max_bytes is not None:
+        survivors = [e for e in entries if e.path not in doomed_paths]
+        total = sum(e.bytes for e in survivors)
+        # Stale generations first, then least recently used.
+        survivors.sort(key=lambda e: (e.current, e.mtime))
+        for entry in survivors:
+            if total <= max_bytes:
+                break
+            doomed.append(entry)
+            doomed_paths.add(entry.path)
+            total -= entry.bytes
+    return doomed
+
+
+def run_gc(store: ResultStore,
+           max_bytes: Optional[int] = None,
+           max_age: Optional[float] = None,
+           now: Optional[float] = None) -> GcReport:
+    """Apply the eviction policy; empty generation dirs are pruned."""
+    entries = scan_entries(store)
+    doomed = plan_gc(entries, max_bytes=max_bytes, max_age=max_age, now=now)
+    removed = 0
+    freed = 0
+    for entry in doomed:
+        try:
+            entry.path.unlink()
+        except OSError:
+            continue
+        removed += 1
+        freed += entry.bytes
+    # Prune generation directories emptied by this pass.
+    for directory in store.root.glob("v-*"):
+        try:
+            next(directory.iterdir())
+        except StopIteration:
+            try:
+                directory.rmdir()
+            except OSError:
+                pass
+        except OSError:
+            pass
+    kept = len(entries) - removed
+    kept_bytes = sum(e.bytes for e in entries) - freed
+    return GcReport(scanned=len(entries), removed=removed, freed_bytes=freed,
+                    kept=kept, kept_bytes=kept_bytes)
 
 
 def default_store() -> Optional[ResultStore]:

@@ -31,22 +31,6 @@ def get_default_progress() -> Optional[SweepProgress]:
     return _default_progress
 
 
-#: Process-wide cold-spec resolver override.  When set (by
-#: ``repro.service.remote.use_remote``), cold specs are resolved through
-#: a running sweep service instead of local worker processes; the
-#: callable matches ``run_specs``'s ``(results, failures)`` contract.
-_remote_resolver: Optional[Callable] = None
-
-
-def set_remote_resolver(resolver: Optional[Callable]) -> None:
-    global _remote_resolver
-    _remote_resolver = resolver
-
-
-def get_remote_resolver() -> Optional[Callable]:
-    return _remote_resolver
-
-
 class SweepError(RuntimeError):
     """Raised when a sweep that must be complete has failed cells."""
 
@@ -118,15 +102,9 @@ def sweep(
         else:
             cold.append(spec)
 
-    resolver = _remote_resolver
-    if resolver is not None and cold and executor is None:
-        # Custom executors stay local: a remote worker would run the
-        # default executor for the spec, not the caller's callable.
-        computed, failures = resolver(cold, progress)
-    else:
-        computed, failures = run_specs(
-            cold, jobs=jobs, timeout=timeout, retries=retries,
-            executor=executor, progress=progress)
+    computed, failures = run_specs(
+        cold, jobs=jobs, timeout=timeout, retries=retries,
+        executor=executor, progress=progress)
     for spec, result in computed:
         results[spec] = result
         if store is not None:

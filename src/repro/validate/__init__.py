@@ -18,9 +18,6 @@ property *while it can still be violated*:
   pressure) with differential verification against the golden emulator.
 * **campaign** (:mod:`.campaign`): multi-seed chaos grids through the
   parallel harness; drives the ``repro validate`` CLI command.
-* **servicechaos** (:mod:`.servicechaos`): seeded fault schedules
-  against a live sweep-service topology (``repro validate --service``)
-  asserting exactly-once execution, zero lost cells, and clean drains.
 """
 
 from .campaign import CampaignReport, campaign_specs, run_campaign
@@ -33,13 +30,6 @@ from .chaos import (
     run_chaos_cell,
 )
 from .sanitizer import EventRing, InvariantChecker, InvariantViolation
-from .servicechaos import (
-    ScheduleResult,
-    ServiceCampaignReport,
-    campaign_fault_specs,
-    run_service_campaign,
-    run_service_chaos_schedule,
-)
 from .snapshot import format_snapshot, pipeline_snapshot
 
 __all__ = [
@@ -48,6 +38,4 @@ __all__ = [
     "ChaosSpec", "ChaosCore", "chaos_config", "run_chaos_cell",
     "execute_chaos_spec", "INTENSITIES",
     "campaign_specs", "run_campaign", "CampaignReport",
-    "ScheduleResult", "ServiceCampaignReport", "campaign_fault_specs",
-    "run_service_campaign", "run_service_chaos_schedule",
 ]

@@ -91,10 +91,10 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_cache_info_reports_counters(capsys):
+def test_cache_info_reports_layout(capsys):
     assert main(["cache", "info"]) == 0
     out = capsys.readouterr().out
-    assert "lifetime:" in out and "puts" in out
+    assert "cache root:" in out and "code fingerprint:" in out
 
 
 def test_cache_gc_requires_a_limit(capsys):
@@ -109,71 +109,16 @@ def test_cache_gc_max_bytes_zero(capsys, tmp_path, monkeypatch):
     assert "cache gc: removed" in capsys.readouterr().out
 
 
-def test_service_clients_fail_cleanly_without_server(capsys):
-    # Port 1 is never a repro service: every client op must exit 1
-    # with a readable error, not a traceback.
-    assert main(["status", "--addr", "127.0.0.1:1"]) == 1
-    assert main(["cancel", "j-x", "--addr", "127.0.0.1:1"]) == 1
-    assert main(["watch", "j-x", "--addr", "127.0.0.1:1"]) == 1
-    assert main(["work", "--addr", "127.0.0.1:1"]) == 1
-    err = capsys.readouterr().err
-    assert "no repro service" in err
+@pytest.mark.parametrize("limit", [["--max-bytes", "-1"], ["--max-age", "-5"]])
+def test_cache_gc_rejects_negative_limit(capsys, tmp_path, monkeypatch, limit):
+    """A negative limit used to read as "fits nothing" and wipe the cache."""
+    from repro.harness import CellSpec, ResultStore
 
-
-def test_submit_fails_cleanly_without_server(capsys):
-    assert main(["submit", "--quick", "-n", "500",
-                 "--addr", "127.0.0.1:1"]) == 1
-    assert "no repro service" in capsys.readouterr().err
-
-
-def test_figure_remote_falls_back_to_local(capsys):
-    assert main(["figure", "fig06", "-n", "1000", "--quick",
-                 "--remote", "127.0.0.1:1"]) == 0
-    captured = capsys.readouterr()
-    assert "running locally" in captured.err
-    assert "atomic" in captured.out
-
-
-def test_serve_submit_watch_roundtrip(capsys, tmp_path, monkeypatch):
-    """`repro serve` wired end to end through the real CLI entry
-    points: submit --watch, status, cancel, warm resubmit."""
-    monkeypatch.setenv("REPRO_SERVICE_DIR", str(tmp_path / "queue"))
-    from repro.harness import ResultStore
-    from repro.service import JobQueue, SweepService
-    from repro.service.worker import RemoteBackend, worker_loop
-    from repro.service.api import ServiceClient
-    import threading
-
-    service = SweepService(queue=JobQueue(root=tmp_path / "queue"),
-                           store=ResultStore(), port=0)
-    service.start(reaper_interval=0.1)
-    stop = threading.Event()
-    worker = threading.Thread(
-        target=worker_loop,
-        kwargs=dict(
-            backend=RemoteBackend(ServiceClient(service.address), host="t"),
-            executor=lambda spec: {"ok": spec.scheme},
-            poll=0.05, stop=stop.is_set),
-        daemon=True)
-    worker.start()
-    try:
-        addr = service.address
-        assert main(["submit", "--quick", "-n", "640",
-                     "--watch", "--addr", addr]) == 0
-        out = capsys.readouterr().out
-        assert "16 cells (16 new" in out
-        assert "done  16/16" in out
-
-        # Warm resubmission: all 16 cells answered from the store.
-        assert main(["submit", "--quick", "-n", "640",
-                     "--watch", "--addr", addr]) == 0
-        assert "16 warm" in capsys.readouterr().out
-
-        assert main(["status", "--addr", addr]) == 0
-        overview = capsys.readouterr().out
-        assert "16 done" in overview
-        assert "host t" in overview
-    finally:
-        stop.set()
-        service.stop()
-        worker.join(5)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    store = ResultStore()
+    store.put(CellSpec("505.mcf_r", 64, "atr", 500), {"kept": True})
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cache", "gc", *limit])
+    assert exit_info.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert store.info()["entries"] == 1

@@ -1,7 +1,10 @@
-"""Persistent store: hit/miss, fingerprint invalidation, management."""
+"""Persistent store: hit/miss, fingerprint invalidation, management,
+LRU/age garbage collection."""
 
 import json
 import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from repro.harness import (
     fingerprint_sources,
     simulate_cell,
 )
+from repro.harness.store import plan_gc, run_gc, scan_entries
 
 SPEC = CellSpec("505.mcf_r", 64, "atr", 1000)
 
@@ -70,23 +74,6 @@ def test_truncated_entry_reads_as_miss(tmp_path, cell):
     assert not path.exists()
 
 
-def test_counters_in_info_and_persisted(tmp_path, cell):
-    store = ResultStore(root=tmp_path)
-    store.get(SPEC)  # miss
-    store.put(SPEC, cell)
-    store.get(SPEC)  # hit
-    counters = store.info()["counters"]
-    assert counters["session"] == {"hits": 1, "misses": 1, "puts": 1}
-    assert counters["lifetime"]["hits"] == 1
-    assert counters["lifetime"]["misses"] == 1
-    assert counters["lifetime"]["puts"] == 1
-    # Lifetime counters are shared across instances (and processes).
-    other = ResultStore(root=tmp_path)
-    other.get(SPEC)
-    assert other.info()["counters"]["lifetime"]["hits"] == 2
-    assert other.info()["counters"]["session"]["hits"] == 1
-
-
 def test_clear_removes_all_generations(tmp_path, cell):
     ResultStore(root=tmp_path, fingerprint="a" * 64).put(SPEC, cell)
     ResultStore(root=tmp_path, fingerprint="b" * 64).put(SPEC, cell)
@@ -115,8 +102,7 @@ def _put_many(root: str, worker: int, repeats: int) -> None:
 
 
 def test_concurrent_puts_same_digest_no_corruption(tmp_path):
-    """Two processes hammering one digest: the entry stays valid JSON
-    and the lifetime put counter loses no increments (flock'd)."""
+    """Two processes hammering one digest: the entry stays valid JSON."""
     context = multiprocessing.get_context("fork")
     repeats = 20
     workers = [context.Process(target=_put_many,
@@ -133,7 +119,6 @@ def test_concurrent_puts_same_digest_no_corruption(tmp_path):
     # The entry file is intact JSON with the full envelope.
     payload = json.loads(store.path_for(SPEC).read_text())
     assert payload["result"]["kind"] == "raw"
-    assert store.info()["counters"]["lifetime"]["puts"] == 2 * repeats
     # No orphaned temp files from the atomic-write dance.
     assert not list(store.generation_dir.glob("*.tmp"))
 
@@ -146,7 +131,7 @@ def test_code_fingerprint_stable_in_process():
 def test_fingerprint_covers_every_subpackage():
     """Regression guard for stale fingerprints: every subpackage of
     ``repro`` (including ones added after the store was written, like
-    ``repro.service``) must contribute sources to the fingerprint."""
+    ``repro.staticcheck``) must contribute sources to the fingerprint."""
     import repro
 
     package_dir = Path(repro.__file__).resolve().parent
@@ -156,8 +141,8 @@ def test_fingerprint_covers_every_subpackage():
     assert subpackages, "repro has subpackages"
     missing = [str(d) for d in subpackages if d not in covered]
     assert not missing, f"subpackages missing from code fingerprint: {missing}"
-    # The service package specifically (the one this guard was born for).
-    assert any(d.name == "service" for d in subpackages)
+    # A subpackage added after the store was written, specifically.
+    assert any(d.name == "staticcheck" for d in subpackages)
 
 
 def test_fingerprint_tracks_new_subpackage_files(tmp_path):
@@ -175,3 +160,106 @@ def test_fingerprint_tracks_new_subpackage_files(tmp_path):
     clone = tmp_path / "pkg2"
     shutil.copytree(package, clone)
     assert code_fingerprint(clone) != first
+
+
+# -- garbage collection ----------------------------------------------------------
+
+def gc_spec(scheme):
+    return CellSpec("505.mcf_r", 64, scheme, 500)
+
+
+def fill(store, schemes=("baseline", "atr", "combined")):
+    for scheme in schemes:
+        store.put(gc_spec(scheme), {"scheme": scheme})
+
+
+def set_mtime(path, when):
+    os.utime(path, (when, when))
+
+
+def test_scan_sees_all_generations(tmp_path):
+    old = ResultStore(root=tmp_path, fingerprint="a" * 64)
+    new = ResultStore(root=tmp_path, fingerprint="b" * 64)
+    fill(old)
+    fill(new)
+    entries = scan_entries(new)
+    assert len(entries) == 6
+    assert sum(e.current for e in entries) == 3
+    assert {e.generation for e in entries} == {"v-" + "a" * 16,
+                                               "v-" + "b" * 16}
+
+
+def test_age_rule_evicts_stale_entries(tmp_path):
+    store = ResultStore(root=tmp_path)
+    fill(store)
+    now = time.time()
+    set_mtime(store.path_for(gc_spec("baseline")), now - 1000)
+
+    report = run_gc(store, max_age=500, now=now)
+    assert report.removed == 1
+    assert store.get(gc_spec("baseline")) is None
+    assert store.get(gc_spec("atr")) is not None
+
+
+def test_size_rule_evicts_lru_stale_generations_first(tmp_path):
+    old = ResultStore(root=tmp_path, fingerprint="a" * 64)
+    store = ResultStore(root=tmp_path)
+    fill(old)
+    fill(store)
+    now = time.time()
+    # Make a current-generation entry the globally oldest: the stale
+    # generation must still go first.
+    set_mtime(store.path_for(gc_spec("baseline")), now - 9999)
+
+    entries = scan_entries(store)
+    current_bytes = sum(e.bytes for e in entries if e.current)
+    doomed = plan_gc(entries, max_bytes=current_bytes, now=now)
+    assert all(not e.current for e in doomed)
+    assert len(doomed) == 3
+
+    report = run_gc(store, max_bytes=current_bytes, now=now)
+    assert report.removed == 3
+    # The stale generation directory is pruned once emptied.
+    assert not (tmp_path / ("v-" + "a" * 16)).exists()
+    assert store.get(gc_spec("atr")) is not None
+
+
+def test_hits_refresh_lru_position(tmp_path):
+    """store.get touches mtime, so a hot entry survives size pressure
+    that evicts its colder siblings."""
+    store = ResultStore(root=tmp_path)
+    fill(store)
+    now = time.time()
+    for scheme in ("baseline", "atr", "combined"):
+        set_mtime(store.path_for(gc_spec(scheme)), now - 5000)
+    assert store.get(gc_spec("atr")) is not None  # refreshes mtime to ~now
+
+    entries = scan_entries(store)
+    keep_bytes = max(e.bytes for e in entries) + 1
+    report = run_gc(store, max_bytes=keep_bytes, now=now)
+    assert report.removed == 2
+    assert store.get(gc_spec("atr")) is not None
+
+
+def test_gc_to_zero(tmp_path):
+    store = ResultStore(root=tmp_path)
+    fill(store)
+    report = run_gc(store, max_bytes=0)
+    assert report.removed == 3
+    assert report.kept == 0
+    assert store.info()["entries"] == 0
+    # The emptied current generation directory is pruned too.
+    assert not store.generation_dir.exists()
+    # gc over an empty cache is a clean no-op.
+    empty = run_gc(store, max_bytes=0, max_age=1)
+    assert (empty.scanned, empty.removed) == (0, 0)
+
+
+@pytest.mark.parametrize("limits", [{"max_bytes": -1}, {"max_age": -5}])
+def test_gc_rejects_negative_limit(tmp_path, limits):
+    """A negative limit fits no cache; it must not evict everything."""
+    store = ResultStore(root=tmp_path)
+    fill(store)
+    with pytest.raises(ValueError, match=">= 0"):
+        run_gc(store, **limits)
+    assert store.info()["entries"] == 3

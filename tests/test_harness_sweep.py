@@ -1,5 +1,8 @@
 """Sweep layer + CLI: dedup, store integration, parallel determinism."""
 
+import os
+from collections import Counter
+
 import pytest
 
 from repro.cli import main
@@ -8,10 +11,15 @@ from repro.experiments.runner import clear_result_cache
 from repro.harness import (
     CellFailure,
     CellSpec,
+    RegionSpec,
     ResultStore,
     SweepError,
+    encode_result,
+    execute_spec,
     sweep,
 )
+from repro.validate import ChaosSpec, execute_chaos_spec
+from repro.workloads import Workload, build_trace, clear_trace_cache
 
 INT2 = ["505.mcf_r", "531.deepsjeng_r"]
 FP2 = ["503.bwaves_r", "508.namd_r"]
@@ -90,6 +98,71 @@ class TestDeterminism:
 
         assert parallel.ratios == serial.ratios
         clear_result_cache()
+
+
+def _execute_any(spec):
+    if isinstance(spec, ChaosSpec):
+        return execute_chaos_spec(spec)
+    return execute_spec(spec)
+
+
+class TestTraceReuse:
+    """Forked workers inherit the traces the sweep process built, so each
+    distinct (benchmark, instructions) trace is emulated once, never in
+    a worker, whatever the spec type."""
+
+    N = 700
+
+    def specs(self):
+        specs = []
+        for benchmark in ("505.mcf_r", "503.bwaves_r"):
+            specs += [CellSpec(benchmark, 64, "baseline", self.N),
+                      CellSpec(benchmark, 64, "atr", self.N),
+                      RegionSpec(benchmark, self.N),
+                      ChaosSpec(benchmark, "atr", 28, self.N, seed=1)]
+        return specs
+
+    def test_parallel_sweep_builds_each_trace_once_in_parent(
+            self, tmp_path, monkeypatch):
+        log = tmp_path / "builds.log"
+        build = Workload.build
+
+        def logged_build(self, *args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {self.name}\n")
+            return build(self, *args, **kwargs)
+
+        def take_log():
+            lines = [line.split() for line in log.read_text().splitlines()]
+            log.unlink()
+            return lines
+
+        monkeypatch.setattr(Workload, "build", logged_build)
+        specs = self.specs()
+        try:
+            # One cold build of each trace: the budget a sweep may spend.
+            clear_trace_cache()
+            for benchmark, n in sorted({(s.benchmark, s.instructions)
+                                        for s in specs}):
+                build_trace(benchmark, n)
+            once = Counter(name for _pid, name in take_log())
+
+            clear_trace_cache()
+            serial = sweep(specs, jobs=1, store=None, executor=_execute_any)
+            take_log()
+
+            clear_trace_cache()
+            parallel = sweep(specs, jobs=2, store=None, executor=_execute_any)
+            builds = take_log()
+        finally:
+            clear_trace_cache()
+
+        assert {pid for pid, _name in builds} == {str(os.getpid())}
+        assert Counter(name for _pid, name in builds) == once
+        assert not serial.failures and not parallel.failures
+        for spec in specs:
+            assert (encode_result(parallel[spec])
+                    == encode_result(serial[spec])), spec.describe()
 
 
 class TestCli:

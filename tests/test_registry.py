@@ -133,7 +133,7 @@ class TestDriftGuards:
         config = next(a for a in actions if a.dest == "config")
         assert tuple(config.choices) == CORE_CONFIGS.names()
 
-    @pytest.mark.parametrize("command", ["sweep", "validate", "submit"])
+    @pytest.mark.parametrize("command", ["sweep", "validate"])
     def test_grid_scheme_defaults_track_registry(self, command):
         from repro.rename.schemes import SCHEMES
 
