@@ -89,7 +89,7 @@ def _non_negative(kind):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("benchmark", help="suite name, e.g. mcf or 505.mcf_r")
-    parser.add_argument("-n", "--instructions", type=int, default=10_000,
+    parser.add_argument("-n", "--instructions", type=_positive_int, default=10_000,
                         help="dynamic trace length (default 10000)")
 
 
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("name", help="fig01|fig04|fig06|fig10|fig11|fig12|"
                                      "fig13|fig14|fig15|sec44|all")
-    figure.add_argument("-n", "--instructions", type=int, default=None)
+    figure.add_argument("-n", "--instructions", type=_positive_int, default=None)
     figure.add_argument("--quick", action="store_true",
                         help="2 int + 2 fp benchmarks only")
     figure.add_argument("-j", "--jobs", type=_positive_int, default=None,
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("-s", "--schemes", default=all_schemes_csv,
                      help="comma-separated release schemes "
                           "(default: every registered scheme)")
-    swp.add_argument("-n", "--instructions", type=int, default=None)
+    swp.add_argument("-n", "--instructions", type=_positive_int, default=None)
     swp.add_argument("-d", "--redefine-delay", type=int, default=0)
     swp.add_argument("-j", "--jobs", type=_positive_int, default=None,
                      help="worker processes (default: all cores)")
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated register file sizes")
     val.add_argument("--seeds", type=_positive_int, default=4,
                      help="chaos seeds per cell (default 4)")
-    val.add_argument("-n", "--instructions", type=int, default=3000,
+    val.add_argument("-n", "--instructions", type=_positive_int, default=3000,
                      help="dynamic trace length per cell (default 3000)")
     val.add_argument("-i", "--intensity", default="medium",
                      choices=["low", "medium", "high"],
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="what to benchmark (core: the cycle pipeline)")
     bench.add_argument("--quick", action="store_true",
                        help="CI smoke: short traces, single repeat")
-    bench.add_argument("-n", "--instructions", type=int, default=None)
+    bench.add_argument("-n", "--instructions", type=_positive_int, default=None)
     bench.add_argument("-r", "--rf-size", type=int, default=128)
     bench.add_argument("--repeats", type=_positive_int, default=None,
                        help="timed repeats per cell, best taken (default 3)")
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "benchmark", nargs="+",
         help="suite name (e.g. mcf), or `static` followed by benchmark "
              "names (none = the whole suite)")
-    analyze.add_argument("-n", "--instructions", type=int, default=10_000,
+    analyze.add_argument("-n", "--instructions", type=_positive_int, default=10_000,
                          help="dynamic trace length (default 10000)")
     analyze.add_argument("--format", choices=("text", "json"),
                          default="text", dest="fmt",
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also run each kernel through the pipeline and "
                            "cross-check every ATR release against the "
                            "static atomic-region proof")
-    lint.add_argument("-n", "--instructions", type=int, default=1200,
+    lint.add_argument("-n", "--instructions", type=_positive_int, default=1200,
                       help="oracle trace length (default 1200)")
     lint.add_argument("-v", "--verbose", action="store_true",
                       help="show suppressed findings and per-kernel stats")
@@ -348,7 +348,7 @@ def _figure_kwargs(module, args) -> dict:
 
     params = inspect.signature(module.run).parameters
     kwargs = {}
-    if args.instructions and "instructions" in params:
+    if args.instructions is not None and "instructions" in params:
         kwargs["instructions"] = args.instructions
     if "jobs" in params:
         kwargs["jobs"] = args.jobs if args.jobs is not None else _default_jobs()

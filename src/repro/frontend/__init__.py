@@ -9,22 +9,12 @@ from .emulator import (
     final_state,
     run_program,
 )
-from .trace import (
-    DynamicInstruction,
-    Trace,
-    read_trace,
-    read_trace_jsonl,
-    trace_from_bytes,
-    trace_to_bytes,
-    write_trace,
-    write_trace_jsonl,
-)
+from .trace import DynamicInstruction, Trace
 from .wrongpath import WrongPathSupplier
 
 __all__ = [
     "Emulator", "ArchState", "EmulationError", "run_program", "final_state",
     "canonical_memory", "canonical_state",
-    "DynamicInstruction", "Trace", "read_trace", "write_trace",
-    "read_trace_jsonl", "write_trace_jsonl", "trace_to_bytes", "trace_from_bytes",
+    "DynamicInstruction", "Trace",
     "WrongPathSupplier",
 ]

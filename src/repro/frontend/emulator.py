@@ -1,7 +1,8 @@
 """Functional emulator — the golden model.
 
 Executes a :class:`~repro.isa.program.Program` architecturally (no timing)
-and records the dynamic trace the cycle simulator replays.  The cycle
+and records the dynamic trace the cycle simulator replays, each entry
+with the value it committed (what fast-forward replays).  The cycle
 simulator's committed architectural state must match this emulator's final
 state exactly, for every release scheme; the integration tests enforce
 that equivalence, which is the strongest correctness check on ATR's early
@@ -167,27 +168,26 @@ class Emulator:
         op = instr.opcode
         taken = False
         mem_addr: Optional[int] = None
+        result = None
         next_pc = pc + 1
 
         if op is Opcode.HALT:
-            self.halted = True
             next_pc = pc
         elif op is Opcode.NOP:
             pass
         elif op is Opcode.LD:
             mem_addr = (self.read_reg(instr.srcs[0]) + instr.imm) & MASK64
-            self.write_reg(instr.dests[0], self._load_word(mem_addr))
+            result = self._load_word(mem_addr)
         elif op is Opcode.ST:
             mem_addr = (self.read_reg(instr.srcs[1]) + instr.imm) & MASK64
-            self._store_word(mem_addr, self.read_reg(instr.srcs[0]))
+            result = self.read_reg(instr.srcs[0])
         elif op is Opcode.VLD:
             mem_addr = (self.read_reg(instr.srcs[0]) + instr.imm) & MASK64
-            lanes = tuple(self._load_word(mem_addr + i * WORD_BYTES) for i in range(VEC_LANES))
-            self.write_reg(instr.dests[0], lanes)
+            result = tuple(self._load_word(mem_addr + i * WORD_BYTES)
+                           for i in range(VEC_LANES))
         elif op is Opcode.VST:
             mem_addr = (self.read_reg(instr.srcs[1]) + instr.imm) & MASK64
-            for i, lane in enumerate(self.read_reg(instr.srcs[0])):
-                self._store_word(mem_addr + i * WORD_BYTES, lane)
+            result = self.read_reg(instr.srcs[0])
         elif op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
             taken = branch_taken(op, self.flags)
             if taken:
@@ -197,14 +197,13 @@ class Emulator:
             next_pc = instr.target
         elif op is Opcode.CALL:
             taken = True
-            self.write_reg(instr.dests[0], pc + 1)
+            result = pc + 1
             next_pc = instr.target
         elif op in (Opcode.JR, Opcode.RET):
             taken = True
             next_pc = self.read_reg(instr.srcs[0]) & MASK64
         else:
-            srcs = [self.read_reg(s) for s in instr.srcs]
-            self.write_reg(instr.dests[0], compute(instr, srcs))
+            result = compute(instr, [self.read_reg(s) for s in instr.srcs])
 
         record = DynamicInstruction(
             seq=self.executed,
@@ -213,10 +212,31 @@ class Emulator:
             next_pc=next_pc,
             taken=taken,
             mem_addr=mem_addr,
+            result=result,
         )
-        self.pc = next_pc
-        self.executed += 1
+        self.commit(record)
         return record
+
+    def commit(self, record: DynamicInstruction) -> None:
+        """Make *record*'s effects architectural and move past it.
+
+        The one place emulation writes state: :meth:`step` commits what
+        it just executed, and a replay commits a recorded trace's entries
+        (their ``result``) without executing anything.
+        """
+        instr = record.instr
+        op = instr.opcode
+        if op is Opcode.ST:
+            self._store_word(record.mem_addr, record.result)
+        elif op is Opcode.VST:
+            for i, lane in enumerate(record.result):
+                self._store_word(record.mem_addr + i * WORD_BYTES, lane)
+        elif instr.dests:
+            self.write_reg(instr.dests[0], record.result)
+        elif op is Opcode.HALT:
+            self.halted = True
+        self.pc = record.next_pc
+        self.executed += 1
 
     def run(self, max_instructions: int = 1_000_000) -> Trace:
         """Run until HALT or *max_instructions*; return the trace."""

@@ -8,19 +8,19 @@ replays "a precise, continuous sequence of dynamically executed basic
 blocks along with their corresponding memory addresses" and re-fetches
 static code on the wrong path.
 
-Traces can be serialized to a compact binary format (``.rtrace``) or to
-JSONL for inspection; both round-trip exactly.
+Each entry also records the value it committed, so functional
+fast-forward replays the trace instead of emulating the program again:
+a trace is built with one emulator run and only ever read afterwards.
+Traces live in memory only (see ``build_trace``'s cache); nothing
+writes them to files.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
-from ..isa import Instruction, Program, assemble, disassemble
+from ..isa import Instruction, Program
 
 
 class DynamicInstruction:
@@ -28,13 +28,18 @@ class DynamicInstruction:
 
     ``seq`` is the dynamic instruction number (age order: smaller = older).
     ``mem_addr`` is the effective byte address for memory operations, else
-    ``None``.  ``wrong_path`` marks instructions the simulator fabricated
-    while fetching down a mispredicted path; they never appear in stored
-    traces.
+    ``None``.  ``result`` is what the emulator committed: the value written
+    to the destination register, or the word (``st``) or lanes (``vst``)
+    stored; ``None`` when the instruction writes nothing.  Only functional
+    replay (:func:`repro.pipeline.warmup.fast_forward`) reads it — the
+    cycle core computes its own values, and its fetch stage copies entries
+    without it.  ``wrong_path`` marks instructions the simulator
+    fabricated while fetching down a mispredicted path; they never appear
+    in traces.
     """
 
     __slots__ = ("seq", "trace_seq", "pc", "instr", "next_pc", "taken", "mem_addr",
-                 "wrong_path")
+                 "result", "wrong_path")
 
     def __init__(
         self,
@@ -46,6 +51,7 @@ class DynamicInstruction:
         mem_addr: Optional[int] = None,
         wrong_path: bool = False,
         trace_seq: Optional[int] = None,
+        result=None,
     ):
         self.seq = seq
         # Position in the stored trace (age on the correct path); -1 for
@@ -56,6 +62,7 @@ class DynamicInstruction:
         self.next_pc = next_pc
         self.taken = taken
         self.mem_addr = mem_addr
+        self.result = result
         self.wrong_path = wrong_path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -107,126 +114,3 @@ class Trace:
             "taken_ratio": taken / branches if branches else 0.0,
             "memory_ratio": self.memory_count() / total,
         }
-
-
-# -- binary serialization --------------------------------------------------
-
-_MAGIC = b"RTRC"
-_VERSION = 2
-_ENTRY = struct.Struct("<IIBQ")  # pc, next_pc, flags, mem_addr
-_FLAG_TAKEN = 1
-_FLAG_HAS_MEM = 2
-
-
-def write_trace(trace: Trace, path: str) -> None:
-    """Serialize *trace* to a ``.rtrace`` binary file."""
-    with open(path, "wb") as fh:
-        _write_trace_stream(trace, fh)
-
-
-def _write_trace_stream(trace: Trace, fh) -> None:
-    listing = disassemble(trace.program).encode()
-    data_blob = json.dumps(sorted(trace.program.data.items())).encode()
-    name = trace.name.encode()
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<HIII", _VERSION, len(name), len(listing), len(data_blob)))
-    fh.write(struct.pack("<I", len(trace.entries)))
-    fh.write(name)
-    fh.write(listing)
-    fh.write(data_blob)
-    for e in trace.entries:
-        flags = (_FLAG_TAKEN if e.taken else 0) | (_FLAG_HAS_MEM if e.mem_addr is not None else 0)
-        fh.write(_ENTRY.pack(e.pc, e.next_pc, flags, e.mem_addr or 0))
-
-
-def read_trace(path: str) -> Trace:
-    """Deserialize a ``.rtrace`` file written by :func:`write_trace`."""
-    with open(path, "rb") as fh:
-        return _read_trace_stream(fh)
-
-
-def _read_trace_stream(fh) -> Trace:
-    magic = fh.read(4)
-    if magic != _MAGIC:
-        raise ValueError(f"not a trace file (magic {magic!r})")
-    version, name_len, listing_len, data_len = struct.unpack("<HIII", fh.read(14))
-    if version != _VERSION:
-        raise ValueError(f"unsupported trace version {version}")
-    (count,) = struct.unpack("<I", fh.read(4))
-    name = fh.read(name_len).decode()
-    listing = fh.read(listing_len).decode()
-    data_blob = fh.read(data_len).decode()
-    program = assemble(listing, name=name)
-    program.data.update({int(k): int(v) for k, v in json.loads(data_blob)})
-    entries: List[DynamicInstruction] = []
-    for seq in range(count):
-        pc, next_pc, flags, mem_addr = _ENTRY.unpack(fh.read(_ENTRY.size))
-        instr = program.at(pc)
-        if instr is None:
-            raise ValueError(f"trace entry {seq} references pc {pc} outside program")
-        entries.append(
-            DynamicInstruction(
-                seq=seq,
-                pc=pc,
-                instr=instr,
-                next_pc=next_pc,
-                taken=bool(flags & _FLAG_TAKEN),
-                mem_addr=mem_addr if flags & _FLAG_HAS_MEM else None,
-            )
-        )
-    return Trace(program=program, entries=entries, name=name)
-
-
-def trace_to_bytes(trace: Trace) -> bytes:
-    buf = io.BytesIO()
-    _write_trace_stream(trace, buf)
-    return buf.getvalue()
-
-
-def trace_from_bytes(blob: bytes) -> Trace:
-    return _read_trace_stream(io.BytesIO(blob))
-
-
-# -- JSONL serialization -----------------------------------------------------
-
-
-def write_trace_jsonl(trace: Trace, path: str) -> None:
-    """Human-inspectable JSONL: one header line, then one line per entry."""
-    with open(path, "w") as fh:
-        header = {
-            "name": trace.name,
-            "listing": disassemble(trace.program),
-            "data": sorted(trace.program.data.items()),
-        }
-        fh.write(json.dumps(header) + "\n")
-        for e in trace.entries:
-            fh.write(
-                json.dumps(
-                    {"pc": e.pc, "next_pc": e.next_pc, "taken": e.taken, "mem": e.mem_addr}
-                )
-                + "\n"
-            )
-
-
-def read_trace_jsonl(path: str) -> Trace:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        program = assemble(header["listing"], name=header["name"])
-        program.data.update({int(k): int(v) for k, v in header["data"]})
-        entries = []
-        for seq, line in enumerate(fh):
-            rec = json.loads(line)
-            instr = program.at(rec["pc"])
-            if instr is None:
-                raise ValueError(f"entry {seq} references pc {rec['pc']} outside program")
-            entries.append(
-                DynamicInstruction(
-                    seq=seq,
-                    pc=rec["pc"],
-                    instr=instr,
-                    next_pc=rec["next_pc"],
-                    taken=rec["taken"],
-                    mem_addr=rec["mem"],
-                )
-            )
-    return Trace(program=program, entries=entries, name=header["name"])

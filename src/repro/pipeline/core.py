@@ -75,7 +75,7 @@ class Core:
 
     def __init__(self, config: CoreConfig, trace: Trace,
                  scheme: Optional[ReleaseScheme] = None,
-                 warmup=None, consume_warmup: bool = False):
+                 warmup=None):
         config.validate()
         if scheme is None:
             scheme = make_scheme(config.scheme, config.redefine_delay,
@@ -85,7 +85,7 @@ class Core:
             # Must precede stage construction: stages cache identity-
             # stable references to branch_unit/memory/mem_values.
             from .warmup import apply_warmup
-            apply_warmup(self.state, warmup, consume=consume_warmup)
+            apply_warmup(self.state, warmup)
         self._chained_release = None
         self._chained_claim = None
         # Freeze the dispatcher bound methods: attribute access would mint

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..branch import BranchUnit, Prediction
 from ..frontend import ArchState, DynamicInstruction, Trace, WrongPathSupplier, canonical_memory
-from ..isa import FLAGS, I_BYTES, Opcode, RegClass, ireg, vreg
+from ..isa import FLAGS, I_BYTES, Opcode, Program, RegClass, ireg, vreg
 from ..memory import MemoryHierarchy
 from ..rename import CheckpointPool, RenameUnit
 from ..rename.schemes import ReleaseScheme
@@ -175,6 +175,24 @@ class PipelineState:
             file.freelist.check_conservation(file.rat.live_ptags())
 
 
+def prewarm_code_image(config: CoreConfig, memory: MemoryHierarchy,
+                       program: Program) -> None:
+    """Fill L1I and L2 with *program*'s code image (if icache is modeled).
+
+    Warms the instruction side as the paper's methodology warms each
+    SimPoint before measurement; kernels are loop-dominated, so an icache
+    cold start would just add a fixed DRAM delay to every run.  Both a
+    from-reset core and fast-forward start here, so a window boundary is
+    never colder than a detailed run from reset.
+    """
+    if not config.model_icache:
+        return
+    code_bytes = len(program) * I_BYTES
+    for addr in range(0, code_bytes, config.memory.line_bytes):
+        memory.l1i.fill(addr)
+        memory.l2.fill(addr)
+
+
 def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme) -> PipelineState:
     """Construct the machine state for one run (scheme already built)."""
     rename_unit = RenameUnit(
@@ -188,15 +206,7 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme) -> Pipe
     from .stages.fetch import make_predictor
     branch_unit = BranchUnit(direction=make_predictor(config.predictor))
     memory = MemoryHierarchy(config.memory)
-    # Warm the instruction side with the code image, as the paper's
-    # methodology warms each SimPoint before measurement; kernels are
-    # loop-dominated, so an icache cold start would just add a fixed
-    # DRAM delay to every run.
-    if config.model_icache:
-        code_bytes = len(trace.program) * I_BYTES
-        for addr in range(0, code_bytes, config.memory.line_bytes):
-            memory.l1i.fill(addr)
-            memory.l2.fill(addr)
+    prewarm_code_image(config, memory, trace.program)
 
     return PipelineState(
         config=config,

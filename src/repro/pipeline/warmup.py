@@ -1,10 +1,11 @@
 """Functional fast-forward warmup for tiered simulation.
 
-The tiered protocol (DESIGN.md, "Tiered simulation") runs the golden
-functional emulator over a program prefix while updating only the
-cheap-to-model microarchitectural state that matters for detailed
-accuracy, then hands the result to a detailed :class:`~.core.Core` so the
-cycle-level window starts hot instead of cold:
+The tiered protocol (DESIGN.md, "Tiered simulation") replays a trace
+prefix while updating only the cheap-to-model microarchitectural state
+that matters for detailed accuracy, then hands the result to a detailed
+:class:`~.core.Core` so the cycle-level window starts hot instead of
+cold.  Nothing is emulated a second time: the trace already holds every
+entry's pc, direction, target, address and committed result.
 
 * **branch state** — every correct-path control instruction trains the
   direction predictor, BTB, indirect predictor, and RAS through the same
@@ -18,10 +19,11 @@ cycle-level window starts hot instead of cold:
   instruction index as a pseudo-cycle so MSHR merging and DRAM row state
   evolve plausibly; snapshots clear the MSHR file (all fills have
   logically arrived by the window boundary);
-* **architectural state** — registers, FLAGS, and memory from the
-  emulator, installed through the initial RAT so the window's value
-  execution and end-of-window architectural comparison see the prefix's
-  effects.
+* **architectural state** — registers, FLAGS, and memory rebuilt by
+  committing each entry's recorded ``result`` into an
+  :class:`~repro.frontend.Emulator` that executes nothing, installed
+  through the initial RAT so the window's value execution and
+  end-of-window architectural comparison see the prefix's effects.
 
 What is deliberately **not** primed: ROB/queue occupancy, in-flight
 instructions, rename state beyond the architectural mapping, and store
@@ -34,13 +36,14 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from ..branch import BranchUnit
 from ..frontend import ArchState, Emulator, Trace
 from ..isa import FLAGS, I_BYTES, RegClass, ireg, vreg
 from ..memory import MemoryHierarchy
 from .config import CoreConfig
+from .state import prewarm_code_image
 
 
 def _clone(obj):
@@ -54,23 +57,24 @@ def _clone(obj):
 class WarmupState:
     """Primed state at one fast-forward stop.
 
-    ``apply_warmup`` deep-copies the mutable members, so one
-    ``WarmupState`` may seed any number of detailed cores.
+    A checkpoint seeds exactly one detailed core: ``apply_warmup`` moves
+    the predictor and caches into it (``None`` here afterwards), and a
+    second use raises.
     """
 
     instructions: int  #: prefix length executed before this stop
     arch: ArchState
-    branch_unit: BranchUnit
-    memory: MemoryHierarchy
+    branch_unit: Optional[BranchUnit]
+    memory: Optional[MemoryHierarchy]
 
 
 def fast_forward(config: CoreConfig, trace: Trace,
                  stops: Sequence[int]) -> List[WarmupState]:
-    """Emulate *trace*'s program prefix once, snapshotting at *stops*.
+    """Replay *trace*'s prefix once, snapshotting at *stops*.
 
     Each stop is an instruction count (0 = cold start); stops are
     deduplicated and visited in ascending order, so a multi-window tiered
-    run pays one functional pass regardless of window count.
+    run pays one pass over the prefix regardless of window count.
     """
     from .stages.fetch import make_predictor
 
@@ -83,32 +87,24 @@ def fast_forward(config: CoreConfig, trace: Trace,
 
     branch_unit = BranchUnit(direction=make_predictor(config.predictor))
     memory = MemoryHierarchy(config.memory)
-    if config.model_icache:
-        # Same code-image pre-warm as build_state, so a window boundary
-        # never looks *colder* than a from-reset detailed run.
-        code_bytes = len(trace.program) * I_BYTES
-        for addr in range(0, code_bytes, config.memory.line_bytes):
-            memory.l1i.fill(addr)
-            memory.l2.fill(addr)
+    prewarm_code_image(config, memory, trace.program)
 
-    emulator = Emulator(trace.program)
+    # Executes nothing: it only commits each entry's recorded result.
+    arch = Emulator(trace.program)
+    commit = arch.commit
     model_icache = config.model_icache
     ft_block_bytes = config.ft_block_bytes
     last_fetch_block = -1
     executed = 0
     snapshots: List[WarmupState] = []
     for stop in ordered:
-        while executed < stop:
-            record = emulator.step()
-            if record is None or record.pc != entries[executed].pc:
-                raise RuntimeError(
-                    f"fast-forward diverged from trace at instruction "
-                    f"{executed} (pc {entries[executed].pc})")
+        for index, record in enumerate(entries[executed:stop], executed):
+            commit(record)
             instr = record.instr
             if model_icache:
                 block = (record.pc * I_BYTES) // ft_block_bytes
                 if block != last_fetch_block:
-                    memory.fetch(executed, record.pc * I_BYTES)
+                    memory.fetch(index, record.pc * I_BYTES)
                     last_fetch_block = block
                 if record.taken:
                     last_fetch_block = -1
@@ -118,10 +114,10 @@ def fast_forward(config: CoreConfig, trace: Trace,
                                     record.taken, record.next_pc)
             if record.mem_addr is not None:
                 if instr.is_load:
-                    memory.load(executed, record.mem_addr, pc=record.pc)
+                    memory.load(index, record.mem_addr, pc=record.pc)
                 elif instr.is_store:
-                    memory.store(executed, record.mem_addr, pc=record.pc)
-            executed += 1
+                    memory.store(index, record.mem_addr, pc=record.pc)
+        executed = stop
         warm_memory = _clone(memory)
         # Pseudo-time ends at the window boundary: every outstanding fill
         # has logically arrived, so the detailed window (which restarts
@@ -129,32 +125,29 @@ def fast_forward(config: CoreConfig, trace: Trace,
         warm_memory._mshr.clear()
         snapshots.append(WarmupState(
             instructions=executed,
-            arch=emulator.snapshot(),
+            arch=arch.snapshot(),
             branch_unit=_clone(branch_unit),
             memory=warm_memory,
         ))
     return snapshots
 
 
-def apply_warmup(state, warmup: WarmupState, consume: bool = False) -> None:
+def apply_warmup(state, warmup: WarmupState) -> None:
     """Install *warmup* into a freshly built ``PipelineState``.
 
     Must run before stages are constructed (stages cache identity-stable
     references to ``state.branch_unit`` / ``state.memory``).  The
+    predictor and caches move into the pipeline, so a second core seeded
+    from the same checkpoint raises instead of sharing them.  The
     architectural registers are primed through the initial RAT mapping,
     so the window's value execution continues exactly from the prefix.
-
-    With ``consume=True`` the warmup's mutable members move into the
-    pipeline instead of being cloned — a single-use optimization for
-    callers (like ``repro.tiered``) that discard the checkpoint after
-    seeding exactly one core.
     """
-    if consume:
-        state.branch_unit = warmup.branch_unit
-        state.memory = warmup.memory
-    else:
-        state.branch_unit = _clone(warmup.branch_unit)
-        state.memory = _clone(warmup.memory)
+    if warmup.branch_unit is None:
+        raise RuntimeError(
+            f"warmup checkpoint at instruction {warmup.instructions} "
+            f"already seeded a core")
+    state.branch_unit, state.memory = warmup.branch_unit, warmup.memory
+    warmup.branch_unit = warmup.memory = None
     arch = warmup.arch
     unit = state.rename_unit
     int_rat = unit.files[RegClass.INT].rat

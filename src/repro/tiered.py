@@ -7,9 +7,10 @@ simulation"):
 
 1. :func:`~repro.workloads.simpoint.pick_simpoints` selects up to
    ``max_windows`` representative intervals of the trace;
-2. one functional fast-forward pass
+2. one fast-forward pass over the trace
    (:func:`~repro.pipeline.warmup.fast_forward`) primes branch/cache/
-   architectural state at every window start;
+   architectural state at every window start, replaying the trace's
+   recorded results rather than emulating the program again;
 3. each window runs through the detailed core from its warm checkpoint;
 4. whole-run statistics are reconstituted: IPC is the SimPoint-weighted
    mean of per-window IPCs (exactly how the paper aggregates), and every
@@ -74,9 +75,8 @@ def run_tiered(config: CoreConfig, trace: Trace, *, interval: int = 2_000,
     windows: List[Dict] = []
     for sp in simpoints:
         # SimPoint windows are distinct intervals, so each checkpoint
-        # seeds exactly one core — let it move in rather than clone.
-        core = Core(config, slice_trace(trace, sp), warmup=warm[sp.start],
-                    consume_warmup=True)
+        # seeds exactly one core.
+        core = Core(config, slice_trace(trace, sp), warmup=warm[sp.start])
         stats = core.run()
         window_stats.append(stats)
         window_scheme.append(core.scheme.stats)

@@ -2,7 +2,7 @@
 
 Every SPEC CPU 2017 benchmark the paper evaluates is a declarative
 :class:`Workload` entry in the :data:`WORKLOADS` registry: builder, int/fp
-class, probe iteration count, and a list of named **input variants** —
+class, and a list of named **input variants** —
 alternate refs of the same kernel, hand-tuned seed parameterizations that
 change the embedded data (hash contents, branch patterns, pointer chains)
 without changing program structure, so lint findings and the static
@@ -10,16 +10,17 @@ atomic-region proof carry over while the dynamic trace genuinely differs.
 
 A variant is addressed with a ``/``-qualified name — ``505.mcf_r/ref2`` —
 anywhere a benchmark name is accepted (``CellSpec.benchmark``, the CLI,
-``build_trace``); the unqualified name is the default ``ref``.  Traces
-are cached per (qualified name, length) within a process, bounded LRU, so
-experiment sweeps that re-simulate the same workload under many
-configurations only emulate it once and long sweeps cannot grow memory
-without limit.
+``build_trace``); the unqualified name is the default ``ref``.  A trace
+of n instructions is one emulator run of the program built with
+``iterations = n``.  Traces are cached per (qualified name, length)
+within a process, bounded LRU, so experiment sweeps that re-simulate the
+same workload under many configurations only emulate it once and long
+sweeps cannot grow memory without limit.
 
 Out-of-tree workloads plug in via the registry's discovery hook (see
 :mod:`repro.registry`): register a :class:`Workload` under a new name
 from a ``REPRO_PLUGINS`` module and every layer — ``repro run``,
-``repro list``, sweeps, the service — can name it.
+``repro list``, sweeps — can name it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class WorkloadVariant:
     ``seed`` reshaping the embedded data); ``builder`` overrides the
     workload's builder entirely (e.g. a synthesizer-profile closure).
     ``iterations`` never appears in ``params`` — trace construction owns
-    the iteration count and scales it to the requested dynamic length.
+    the iteration count (``iterations = n`` for an n-instruction trace).
     """
 
     name: str
@@ -63,12 +64,18 @@ class WorkloadVariant:
 
 @dataclass(frozen=True)
 class Workload:
-    """One declarative suite entry: how to build a benchmark's program."""
+    """One declarative suite entry: how to build a benchmark's program.
+
+    ``builder(iterations=..., **params)`` returns the program; its
+    ``iterations`` may only set the outer-loop bound, since
+    :func:`build_trace` passes ``iterations = n`` for an n-instruction
+    trace and relies on every iteration executing at least one
+    instruction.
+    """
 
     name: str
     builder: Callable[..., Program]
     cls: str  #: "int" | "fp" | anything else (plugins; counts as non-fp)
-    probe_iterations: int = 4
     variants: Tuple[WorkloadVariant, ...] = ()
 
     def variant(self, name: Optional[str]) -> Optional[WorkloadVariant]:
@@ -251,34 +258,26 @@ def _trace_cache_max() -> int:
 
 
 def build_trace(name: str, instructions: int = 20_000, use_cache: bool = True) -> Trace:
-    """A dynamic trace of roughly *instructions* instructions.
+    """The dynamic trace of *name*'s first *instructions* instructions.
 
-    The kernel's outer iteration count is scaled from a small probe run;
-    the trace is truncated at exactly *instructions* if the scaled run
-    overshoots (the simulator does not require a trailing HALT).
+    One functional pass: the program is built once with ``iterations =
+    instructions`` and emulated once for *instructions* instructions.
+    Every builder's ``iterations`` is only the outer-loop bound, and each
+    iteration executes at least one instruction, so the run always
+    stops at *instructions* before the program halts (a program that
+    halts earlier yields a shorter trace).  Each entry carries the value
+    it committed, which is what fast-forward replays.
     """
+    if instructions < 1:
+        raise ValueError(f"a trace needs instructions >= 1, got {instructions}")
     name = resolve(name)
     key = (name, instructions)
     if use_cache and key in _trace_cache:
         _trace_cache.move_to_end(key)
         return _trace_cache[key]
     entry, variant = workload_for(name)
-
-    probe_iters = max(1, entry.probe_iterations)
-    probe = Emulator(entry.build(probe_iters, variant=variant)) \
-        .run(max_instructions=instructions)
-    per_iter = max(1, len(probe) // probe_iters)
-    need_iters = max(probe_iters, (instructions // per_iter) + 2)
-    # Some kernels terminate on data-dependent conditions rather than the
-    # iteration count alone; keep doubling until the trace is long enough.
-    trace = None
-    for _ in range(8):
-        program = entry.build(need_iters, variant=variant)
-        trace = Emulator(program).run(max_instructions=instructions)
-        if len(trace) >= instructions or not trace.entries[-1].instr.is_halt:
-            break
-        need_iters *= 2
-    trace.entries = trace.entries[:instructions]
+    program = entry.build(instructions, variant=variant)
+    trace = Emulator(program).run(max_instructions=instructions)
     trace.name = name
     if use_cache:
         _trace_cache[key] = trace

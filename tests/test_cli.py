@@ -109,6 +109,26 @@ def test_cache_gc_max_bytes_zero(capsys, tmp_path, monkeypatch):
     assert "cache gc: removed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "mcf", "-n", "0"],
+    ["run", "mcf", "-n", "-5"],
+    ["compare", "mcf", "-n", "0"],
+    ["analyze", "mcf", "-n", "0"],
+    ["figure", "fig06", "--quick", "-n", "0"],
+    ["sweep", "-b", "mcf", "-s", "atr", "-n", "-1"],
+    ["validate", "--quick", "-n", "0"],
+    ["lint", "mcf", "--oracle", "-n", "0"],
+    ["bench", "core", "--quick", "-n", "0"],
+])
+def test_non_positive_instructions_rejected(capsys, argv):
+    """A non-positive -n used to simulate nothing and exit 0 (figure
+    read 0 as unset and ran at its default length instead)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("limit", [["--max-bytes", "-1"], ["--max-age", "-5"]])
 def test_cache_gc_rejects_negative_limit(capsys, tmp_path, monkeypatch, limit):
     """A negative limit used to read as "fits nothing" and wipe the cache."""

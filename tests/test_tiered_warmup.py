@@ -1,11 +1,11 @@
 """Tiered simulation: warmup equivalence, window stitching, spec plumbing.
 
-The load-bearing property is *warmup equivalence*: functionally
-fast-forwarding a prefix and then running a detailed window must land on
-exactly the architectural state the golden emulator reaches at the
-window's end — on every kernel in the suite.  If warmup primed a wrong
-register value, skipped a store, or diverged from the trace, the
-detailed window's value execution would expose it here.
+The load-bearing property is *warmup equivalence*: fast-forwarding a
+prefix by replaying the trace and then running a detailed window must
+land on exactly the architectural state the golden emulator reaches at
+the window's start and at its end — on every kernel in the suite.  If
+the replay committed a wrong register value or skipped a store, or
+warmup primed the core wrongly, one of the two comparisons exposes it.
 """
 
 import json
@@ -39,13 +39,19 @@ def test_warmup_equivalence_kernel_suite(kernel):
     warm = fast_forward(config, trace, [start])[0]
     assert warm.instructions == start
 
+    # The replayed prefix lands exactly where executing it does.
+    emulator = Emulator(trace.program)
+    for _ in range(start):
+        assert emulator.step() is not None
+    mismatches = warm.arch.diff(emulator.snapshot(), limit=16)
+    assert not mismatches, "\n".join(mismatches)
+
     window = SimPoint(interval_index=0, start=start, length=total - start,
                       weight=1.0, cluster=0)
     core = Core(config, slice_trace(trace, window), warmup=warm)
     core.run()
 
-    emulator = Emulator(trace.program)
-    for _ in range(total):
+    for _ in range(total - start):
         assert emulator.step() is not None
     golden = emulator.snapshot()
 
@@ -69,21 +75,22 @@ def test_warmup_rejects_out_of_range_stops():
         fast_forward(config, trace, [len(trace.entries) + 1])
 
 
-def test_warmup_checkpoint_seeds_many_cores():
-    """Without consume, one checkpoint must be reusable: two cores seeded
-    from it may not alias each other's branch/cache state."""
+def test_warmup_checkpoint_seeds_one_core():
+    """The predictor and caches move into the first core; a second core
+    from the same checkpoint must raise, not share them."""
     trace = build_trace("531.deepsjeng_r", 1600)
     config = fast_test_config(rf_size=64, scheme="atr")
     start = 800
     warm = fast_forward(config, trace, [start])[0]
+    branch_unit, memory = warm.branch_unit, warm.memory
     window = SimPoint(interval_index=0, start=start, length=800,
                       weight=1.0, cluster=0)
-    first = Core(config, slice_trace(trace, window), warmup=warm)
-    second = Core(config, slice_trace(trace, window), warmup=warm)
-    assert first.state.memory is not second.state.memory
-    assert first.state.branch_unit is not second.state.branch_unit
-    a, b = first.run(), second.run()
-    assert a.to_dict() == b.to_dict()
+    core = Core(config, slice_trace(trace, window), warmup=warm)
+    assert core.state.branch_unit is branch_unit
+    assert core.state.memory is memory
+    with pytest.raises(RuntimeError, match="already seeded a core"):
+        Core(config, slice_trace(trace, window), warmup=warm)
+    assert core.run().committed == 800
 
 
 def test_tiered_stitching_scales_to_full_trace():

@@ -1,5 +1,9 @@
 """Workloads: suite registry, kernels, synthesis, SimPoint-lite."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.frontend import run_program
@@ -19,9 +23,23 @@ from repro.workloads import (
     slice_trace,
     synthesize,
     weighted_mean,
+    workload_names,
 )
 
 import numpy as np
+
+#: A (pc, next_pc, taken, mem_addr) digest of every ref's trace at one
+#: length: any change to a ref's dynamic instruction stream fails here.
+TRACE_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "trace_digests.json").read_text())
+
+
+def trace_digest(trace) -> str:
+    digest = hashlib.sha256()
+    for e in trace.entries:
+        digest.update(
+            f"{e.pc} {e.next_pc} {int(e.taken)} {e.mem_addr}\n".encode())
+    return digest.hexdigest()
 
 
 class TestSuiteRegistry:
@@ -76,6 +94,49 @@ class TestSuiteRegistry:
     def test_int_kernels_branch_density_plausible(self):
         trace = build_trace("leela", 2000)
         assert 0.05 < trace.summary()["branch_ratio"] < 0.4
+
+
+class TestTraceBuild:
+    def test_every_ref_is_pinned(self):
+        assert sorted(TRACE_DIGESTS["digests"]) == sorted(
+            workload_names(variants=True))
+
+    @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS["digests"]))
+    def test_trace_matches_pinned_digest(self, name):
+        trace = build_trace(name, TRACE_DIGESTS["instructions"])
+        assert len(trace) == TRACE_DIGESTS["instructions"]
+        assert trace_digest(trace) == TRACE_DIGESTS["digests"][name]
+
+    @pytest.mark.parametrize("name", ["505.mcf_r", "508.namd_r"])
+    def test_cold_build_is_one_functional_pass(self, name, monkeypatch):
+        """One program build and one emulator run of exactly n
+        instructions: ``iterations = n`` always covers n instructions."""
+        from repro.frontend import Emulator
+        from repro.workloads import Workload
+
+        calls = {"build": 0, "run": 0, "emulated": 0}
+        build, run = Workload.build, Emulator.run
+
+        def counting_build(self, *args, **kwargs):
+            calls["build"] += 1
+            return build(self, *args, **kwargs)
+
+        def counting_run(self, *args, **kwargs):
+            trace = run(self, *args, **kwargs)
+            calls["run"] += 1
+            calls["emulated"] += len(trace)
+            return trace
+
+        monkeypatch.setattr(Workload, "build", counting_build)
+        monkeypatch.setattr(Emulator, "run", counting_run)
+        trace = build_trace(name, 3000, use_cache=False)
+        assert len(trace) == 3000
+        assert calls == {"build": 1, "run": 1, "emulated": 3000}
+
+    @pytest.mark.parametrize("instructions", [0, -5])
+    def test_rejects_non_positive_length(self, instructions):
+        with pytest.raises(ValueError, match="instructions"):
+            build_trace("505.mcf_r", instructions)
 
 
 class TestVariants:
