@@ -1,9 +1,12 @@
-"""Benchmark harness configuration.
+"""Figure-shape test configuration.
 
-Each benchmark regenerates one of the paper's figures and prints the same
-rows/series the paper reports, with measured-vs-paper comparison lines.
+Each test regenerates one of the paper's figures, prints the same
+rows/series the paper reports, and asserts the figure's shape.  These
+are plain pytest tests: they check the simulated machine, not host time
+(``perfbench/`` measures that).
 
-Scale knobs (environment variables):
+Scale knobs (environment variables, read here and passed to each
+figure's ``run()`` explicitly):
 
 * ``REPRO_BENCH_INSTRUCTIONS`` — dynamic instructions per benchmark
   (default 5000; the paper uses 10M-instruction SimPoints in a C++
@@ -44,6 +47,6 @@ def instructions():
 
 
 def emit(result) -> None:
-    """Print a figure's rendering under the benchmark output."""
+    """Print a figure's rendering under the test's output."""
     print()
     print(result.render())

@@ -5,13 +5,9 @@ from repro.experiments import fig01
 from conftest import emit
 
 
-def test_fig01_rf_scaling(benchmark, int_suite, instructions):
-    result = benchmark.pedantic(
-        fig01.run,
-        kwargs=dict(benchmarks=int_suite, instructions=instructions,
-                    sizes=(64, 96, 128, 160, 192, 224, 256, 280)),
-        rounds=1, iterations=1,
-    )
+def test_fig01_rf_scaling(int_suite, instructions):
+    result = fig01.run(benchmarks=int_suite, instructions=instructions,
+                       sizes=(64, 96, 128, 160, 192, 224, 256, 280))
     emit(result)
     low, high = result.average[64], result.average[280]
     # Shape: IPC rises with registers and 280 is near-ideal (paper: 37.7%

@@ -5,13 +5,9 @@ from repro.experiments import fig04
 from conftest import emit
 
 
-def test_fig04_lifetime(benchmark, int_suite, fp_suite, instructions):
-    result = benchmark.pedantic(
-        fig04.run,
-        kwargs=dict(int_benchmarks=int_suite, fp_benchmarks=fp_suite,
-                    instructions=instructions),
-        rounds=1, iterations=1,
-    )
+def test_fig04_lifetime(int_suite, fp_suite, instructions):
+    result = fig04.run(int_benchmarks=int_suite, fp_benchmarks=fp_suite,
+                       instructions=instructions)
     emit(result)
     # Shape: a meaningful not-in-use window exists after last-use (the
     # opportunity early release exploits).  Note: our precommit models the

@@ -5,13 +5,9 @@ from repro.experiments import expectations, fig06
 from conftest import emit
 
 
-def test_fig06_atomic_ratio(benchmark, int_suite, fp_suite, instructions):
-    result = benchmark.pedantic(
-        fig06.run,
-        kwargs=dict(int_benchmarks=int_suite, fp_benchmarks=fp_suite,
-                    instructions=instructions),
-        rounds=1, iterations=1,
-    )
+def test_fig06_atomic_ratio(int_suite, fp_suite, instructions):
+    result = fig06.run(int_benchmarks=int_suite, fp_benchmarks=fp_suite,
+                       instructions=instructions)
     emit(result)
     # Paper: 17.04% int / 13.14% fp of allocations are atomic; our kernels
     # land in the same band.

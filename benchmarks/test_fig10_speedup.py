@@ -5,13 +5,9 @@ from repro.experiments import fig10
 from conftest import emit
 
 
-def test_fig10_speedup(benchmark, int_suite, fp_suite, instructions):
-    result = benchmark.pedantic(
-        fig10.run,
-        kwargs=dict(int_benchmarks=int_suite, fp_benchmarks=fp_suite,
-                    sizes=(64, 224), instructions=instructions),
-        rounds=1, iterations=1,
-    )
+def test_fig10_speedup(int_suite, fp_suite, instructions):
+    result = fig10.run(int_benchmarks=int_suite, fp_benchmarks=fp_suite,
+                       sizes=(64, 224), instructions=instructions)
     emit(result)
     # Shape checks mirroring the paper's ordering at 64 registers:
     # every scheme helps on average, nonspec-ER > ATR on the int suite,

@@ -5,14 +5,10 @@ from repro.experiments import fig11
 from conftest import emit
 
 
-def test_fig11_rf_sensitivity(benchmark, int_suite, fp_suite, instructions):
-    result = benchmark.pedantic(
-        fig11.run,
-        kwargs=dict(int_benchmarks=int_suite, fp_benchmarks=fp_suite,
-                    sizes=(64, 96, 128, 160, 192, 224, 256, 280),
-                    instructions=instructions),
-        rounds=1, iterations=1,
-    )
+def test_fig11_rf_sensitivity(int_suite, fp_suite, instructions):
+    result = fig11.run(int_benchmarks=int_suite, fp_benchmarks=fp_suite,
+                       sizes=(64, 96, 128, 160, 192, 224, 256, 280),
+                       instructions=instructions)
     emit(result)
     # Shape: the gain at the smallest RF exceeds the gain at the largest
     # (paper: 5.7% at 64 vs 0.9% at 280 for int).

@@ -5,12 +5,8 @@ from repro.experiments import fig12
 from conftest import emit
 
 
-def test_fig12_consumers(benchmark, int_suite, fp_suite, instructions):
-    result = benchmark.pedantic(
-        fig12.run,
-        kwargs=dict(benchmarks=int_suite + fp_suite, instructions=instructions),
-        rounds=1, iterations=1,
-    )
+def test_fig12_consumers(int_suite, fp_suite, instructions):
+    result = fig12.run(benchmarks=int_suite + fp_suite, instructions=instructions)
     emit(result)
     # Paper: most workloads average 1-2 consumers per atomic region
     # (enabling the 3-bit counter); namd is the heavy outlier.

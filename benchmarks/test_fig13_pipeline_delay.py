@@ -5,12 +5,8 @@ from repro.experiments import fig13
 from conftest import emit
 
 
-def test_fig13_pipeline_delay(benchmark, int_suite, instructions):
-    result = benchmark.pedantic(
-        fig13.run,
-        kwargs=dict(benchmarks=int_suite, rf_size=64, instructions=instructions),
-        rounds=1, iterations=1,
-    )
+def test_fig13_pipeline_delay(int_suite, instructions):
+    result = fig13.run(benchmarks=int_suite, rf_size=64, instructions=instructions)
     emit(result)
     # Paper: negligible impact of delaying the redefinition signal.
     assert result.max_degradation() < 0.02

@@ -5,12 +5,8 @@ from repro.experiments import fig14
 from conftest import emit
 
 
-def test_fig14_event_timing(benchmark, int_suite, fp_suite, instructions):
-    result = benchmark.pedantic(
-        fig14.run,
-        kwargs=dict(benchmarks=int_suite + fp_suite, instructions=instructions),
-        rounds=1, iterations=1,
-    )
+def test_fig14_event_timing(int_suite, fp_suite, instructions):
+    result = fig14.run(benchmarks=int_suite + fp_suite, instructions=instructions)
     emit(result)
     populated = [t for t in result.timings.values() if t.chains]
     assert populated

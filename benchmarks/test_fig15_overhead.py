@@ -6,13 +6,9 @@ from repro.experiments import fig15
 from conftest import emit
 
 
-def test_fig15_overhead(benchmark, int_suite, instructions):
-    result = benchmark.pedantic(
-        fig15.run,
-        kwargs=dict(benchmarks=int_suite, reference_rf=280, step=16,
-                    instructions=instructions),
-        rounds=1, iterations=1,
-    )
+def test_fig15_overhead(int_suite, instructions):
+    result = fig15.run(benchmarks=int_suite, reference_rf=280, step=16,
+                       instructions=instructions)
     emit(result)
     # Shape: every early-release scheme needs at most the baseline's
     # registers; combined needs the fewest (paper: 196 vs 204/212/280).

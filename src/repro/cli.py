@@ -18,7 +18,6 @@ Commands:
   (``gc --max-bytes|--max-age``: least-recently-used and age eviction,
   stale code generations first) the persistent result store
   (``~/.cache/repro`` or ``$REPRO_CACHE_DIR``).
-* ``bench`` — time the simulator's own throughput (``bench core``).
 * ``analyze`` — trace-level atomic-region analysis of a benchmark;
   ``analyze static [BENCH...]`` prints the static memory-dependence /
   ATR-opportunity table (regions, alias verdicts, forwardable loads,
@@ -87,8 +86,34 @@ def _non_negative(kind):
     return parse
 
 
+def _benchmark(text: str) -> str:
+    """argparse type: a suite name (``mcf``, ``505.mcf_r/ref2``) resolved
+    to its canonical id."""
+    from .workloads import resolve
+
+    try:
+        return resolve(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
+def _comma_list(item):
+    """argparse type: comma-separated values, each parsed by *item*."""
+    def parse(text: str) -> list:
+        return [item(part.strip()) for part in text.split(",") if part.strip()]
+
+    parse.__name__ = "comma-separated list"
+    return parse
+
+
+def _usage_error(command: str, message: str) -> int:
+    print(f"{command}: {message}", file=sys.stderr)
+    return 2
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("benchmark", help="suite name, e.g. mcf or 505.mcf_r")
+    parser.add_argument("benchmark", type=_benchmark,
+                        help="suite name, e.g. mcf or 505.mcf_r")
     parser.add_argument("-n", "--instructions", type=_positive_int, default=10_000,
                         help="dynamic trace length (default 10000)")
 
@@ -114,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=list(_config_names()),
                      help="named machine preset (repro list configs); "
                           "-s/-r/-d still override on top of it")
-    run.add_argument("-d", "--redefine-delay", type=int, default=0)
+    run.add_argument("-d", "--redefine-delay", type=_non_negative(int), default=0)
     run.add_argument("--tier", default="detailed",
                      choices=["detailed", "tiered"],
                      help="simulation tier: full-trace detailed (default) "
@@ -144,15 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="run a benchmark x rf x scheme grid "
                                        "through the parallel harness")
-    swp.add_argument("-b", "--benchmarks", default="mcf,deepsjeng,bwaves,namd",
+    swp.add_argument("-b", "--benchmarks", type=_comma_list(_benchmark),
+                     default="mcf,deepsjeng,bwaves,namd",
                      help="comma-separated suite names")
-    swp.add_argument("-r", "--rf-sizes", default="64",
-                     help="comma-separated register file sizes")
+    swp.add_argument("-r", "--rf-sizes", type=_comma_list(_positive_int),
+                     default="64", help="comma-separated register file sizes")
     swp.add_argument("-s", "--schemes", default=all_schemes_csv,
                      help="comma-separated release schemes "
                           "(default: every registered scheme)")
     swp.add_argument("-n", "--instructions", type=_positive_int, default=None)
-    swp.add_argument("-d", "--redefine-delay", type=int, default=0)
+    swp.add_argument("-d", "--redefine-delay", type=_non_negative(int), default=0)
     swp.add_argument("-j", "--jobs", type=_positive_int, default=None,
                      help="worker processes (default: all cores)")
     swp.add_argument("-v", "--verbose", action="store_true",
@@ -161,13 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser(
         "validate",
         help="seeded fault-injection campaign with the invariant sanitizer")
-    val.add_argument("-b", "--benchmarks", default="mcf,deepsjeng,bwaves,namd",
+    val.add_argument("-b", "--benchmarks", type=_comma_list(_benchmark),
+                     default="mcf,deepsjeng,bwaves,namd",
                      help="comma-separated suite names")
     val.add_argument("-s", "--schemes", default=all_schemes_csv,
                      help="comma-separated release schemes "
                           "(default: every registered scheme)")
-    val.add_argument("-r", "--rf-sizes", default="28,40",
-                     help="comma-separated register file sizes")
+    val.add_argument("-r", "--rf-sizes", type=_comma_list(_positive_int),
+                     default="28,40", help="comma-separated register file sizes")
     val.add_argument("--seeds", type=_positive_int, default=4,
                      help="chaos seeds per cell (default 4)")
     val.add_argument("-n", "--instructions", type=_positive_int, default=3000,
@@ -175,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("-i", "--intensity", default="medium",
                      choices=["low", "medium", "high"],
                      help="fault-injection intensity (default medium)")
-    val.add_argument("-d", "--redefine-delay", type=int, default=0)
+    val.add_argument("-d", "--redefine-delay", type=_non_negative(int), default=0)
     val.add_argument("--quick", action="store_true",
                      help="small smoke campaign: 2 benchmarks, 1 rf size, "
                           "2 seeds, 1500 instructions")
@@ -183,30 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes (default: all cores)")
     val.add_argument("-v", "--verbose", action="store_true",
                      help="per-cell progress lines on stderr")
-
-    bench = sub.add_parser(
-        "bench", help="benchmark the simulator's own throughput")
-    bench.add_argument("target", choices=["core"],
-                       help="what to benchmark (core: the cycle pipeline)")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke: short traces, single repeat")
-    bench.add_argument("-n", "--instructions", type=_positive_int, default=None)
-    bench.add_argument("-r", "--rf-size", type=int, default=128)
-    bench.add_argument("--repeats", type=_positive_int, default=None,
-                       help="timed repeats per cell, best taken (default 3)")
-    bench.add_argument("-o", "--output", default="BENCH_core.json",
-                       help="result JSON path ('' to skip writing)")
-    bench.add_argument("--history", default="BENCH_history.json",
-                       help="trajectory JSON appended to on each run "
-                            "('' to skip)")
-    bench.add_argument("--profile", action="store_true",
-                       help="re-run each cell under cProfile and print the "
-                            "top-25 cumulative hotspots")
-    bench.add_argument("--ab", action="store_true",
-                       help="interleaved A/B regression gate: spin-loop vs "
-                            "skip-ahead vs tiered; non-zero exit on "
-                            "regression")
-    bench.add_argument("-v", "--verbose", action="store_true")
 
     cache = sub.add_parser("cache", help="manage the persistent result store")
     cache.add_argument("action", choices=["info", "clear", "gc"])
@@ -262,26 +265,29 @@ def build_parser() -> argparse.ArgumentParser:
                      help="which registry to list (default workloads)")
 
     disasm = sub.add_parser("disasm", help="disassemble a kernel")
-    disasm.add_argument("benchmark")
+    disasm.add_argument("benchmark", type=_benchmark)
     return parser
 
 
 def _cmd_run(args) -> int:
     from .pipeline import Core, core_config, golden_cove_config
-    from .workloads import build_trace, resolve
+    from .workloads import build_trace
 
-    name = resolve(args.benchmark)
+    name = args.benchmark
+    try:
+        if args.config is not None:
+            config = core_config(args.config)
+            config = config.with_scheme(args.scheme, args.redefine_delay)
+            if args.rf_size is not None:
+                config = config.with_rf_size(args.rf_size)
+            config.validate()
+        else:
+            config = golden_cove_config(
+                rf_size=args.rf_size if args.rf_size is not None else 64,
+                scheme=args.scheme, redefine_delay=args.redefine_delay)
+    except ValueError as exc:
+        return _usage_error("run", str(exc))
     trace = build_trace(name, args.instructions)
-    if args.config is not None:
-        config = core_config(args.config)
-        config = config.with_scheme(args.scheme, args.redefine_delay)
-        if args.rf_size is not None:
-            config = config.with_rf_size(args.rf_size)
-        config.validate()
-    else:
-        config = golden_cove_config(
-            rf_size=args.rf_size if args.rf_size is not None else 64,
-            scheme=args.scheme, redefine_delay=args.redefine_delay)
     args.rf_size = config.int_rf_size  # for the summary lines below
     if args.tier == "tiered":
         from .tiered import run_tiered
@@ -318,15 +324,19 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .pipeline import Core, golden_cove_config
-    from .workloads import build_trace, resolve
+    from .workloads import build_trace
 
-    name = resolve(args.benchmark)
+    name = args.benchmark
+    try:
+        configs = {scheme: golden_cove_config(rf_size=args.rf_size, scheme=scheme)
+                   for scheme in _scheme_names()}
+    except ValueError as exc:
+        return _usage_error("compare", str(exc))
     trace = build_trace(name, args.instructions)
     print(f"{name} @ {args.rf_size} registers, {len(trace)} instructions")
     print(f"{'scheme':12} {'IPC':>7} {'vs base':>8} {'early frees':>12}")
     base_ipc = None
-    for scheme in _scheme_names():
-        config = golden_cove_config(rf_size=args.rf_size, scheme=scheme)
+    for scheme, config in configs.items():
         core = Core(config, trace)
         stats = core.run()
         if base_ipc is None:
@@ -340,9 +350,9 @@ def _cmd_compare(args) -> int:
 def _figure_kwargs(module, args) -> dict:
     """Per-figure ``run()`` kwargs from CLI flags, matched to its signature.
 
-    The instruction count is threaded through as a parameter — never via
-    ``REPRO_BENCH_INSTRUCTIONS`` — so one command cannot leak scale into
-    the next (or poison cache keys) through process-global state.
+    The instruction count is threaded through as a parameter, so one
+    command cannot leak scale into the next (or poison cache keys)
+    through process-global state.
     """
     import inspect
 
@@ -418,10 +428,9 @@ def _cmd_sweep(args) -> int:
     from .experiments.report import format_table
     from .experiments.runner import cell_spec
     from .harness import sweep
-    from .workloads import resolve
 
-    benchmarks = [resolve(b.strip()) for b in args.benchmarks.split(",") if b.strip()]
-    rf_sizes = [int(r) for r in args.rf_sizes.split(",") if r.strip()]
+    benchmarks = args.benchmarks
+    rf_sizes = args.rf_sizes
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     specs = [
         cell_spec(benchmark, rf_size, scheme, args.instructions,
@@ -455,7 +464,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     from .validate import campaign_specs, run_campaign
-    from .workloads import resolve
 
     if args.quick:
         benchmarks = ["505.mcf_r", "503.bwaves_r"]
@@ -463,9 +471,8 @@ def _cmd_validate(args) -> int:
         seeds = range(2)
         instructions = 1500
     else:
-        benchmarks = [resolve(b.strip())
-                      for b in args.benchmarks.split(",") if b.strip()]
-        rf_sizes = [int(r) for r in args.rf_sizes.split(",") if r.strip()]
+        benchmarks = args.benchmarks
+        rf_sizes = args.rf_sizes
         seeds = range(args.seeds)
         instructions = args.instructions
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
@@ -525,17 +532,24 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.benchmark[0] == "static":
-        return _cmd_analyze_static(args)
-    if len(args.benchmark) != 1:
-        print("analyze: exactly one benchmark (or `analyze static "
-              "[BENCH...]`)", file=sys.stderr)
-        return 2
+    from .workloads import resolve
+
+    static = args.benchmark[0] == "static"
+    requested = args.benchmark[1:] if static else args.benchmark
+    if not static and len(requested) != 1:
+        return _usage_error("analyze", "exactly one benchmark (or `analyze "
+                                       "static [BENCH...]`)")
+    try:
+        names = [resolve(b) for b in requested]
+    except KeyError as exc:
+        return _usage_error("analyze", exc.args[0])
+    if static:
+        return _cmd_analyze_static(args, names)
 
     from .analysis import classify_regions
-    from .workloads import build_trace, resolve
+    from .workloads import build_trace
 
-    name = resolve(args.benchmark[0])
+    name = names[0]
     trace = build_trace(name, args.instructions)
     report = classify_regions(trace)
     print(f"{name}: {len(trace)} instructions, "
@@ -589,19 +603,12 @@ def _static_analysis_row(name: str, instructions: int) -> dict:
     }
 
 
-def _cmd_analyze_static(args) -> int:
+def _cmd_analyze_static(args, names: List[str]) -> int:
     import json
 
-    from .workloads import resolve, workload_names
+    from .workloads import workload_names
 
-    requested = args.benchmark[1:]
-    if requested:
-        try:
-            names = [resolve(b) for b in requested]
-        except KeyError as exc:
-            print(f"analyze: {exc.args[0]}", file=sys.stderr)
-            return 2
-    else:
+    if not names:
         names = list(workload_names(variants=True))
 
     rows = [_static_analysis_row(name, args.instructions) for name in names]
@@ -651,11 +658,9 @@ def _cmd_lint(args) -> int:
         try:
             names = [resolve(b) for b in args.benchmarks]
         except KeyError as exc:
-            print(f"lint: {exc.args[0]}", file=sys.stderr)
-            return 2
+            return _usage_error("lint", exc.args[0])
     else:
-        print("lint: name benchmarks or pass --all", file=sys.stderr)
-        return 2
+        return _usage_error("lint", "name benchmarks or pass --all")
 
     warn_unused = not args.no_warn_unused_ignore
     failed = 0
@@ -768,27 +773,11 @@ def _cmd_list(args) -> int:
 
 def _cmd_disasm(args) -> int:
     from .isa import disassemble
-    from .workloads import builder_for, resolve
+    from .workloads import builder_for
 
-    name = resolve(args.benchmark)
-    program = builder_for(name)(iterations=2)
+    program = builder_for(args.benchmark)(iterations=2)
     print(disassemble(program))
     return 0
-
-
-def _cmd_bench(args) -> int:
-    from .bench import run_bench_cli
-    return run_bench_cli(
-        quick=args.quick,
-        output=args.output or None,
-        instructions=args.instructions,
-        rf_size=args.rf_size,
-        repeats=args.repeats,
-        verbose=args.verbose,
-        profile=args.profile,
-        ab=args.ab,
-        history=args.history or None,
-    )
 
 
 _COMMANDS = {
@@ -802,7 +791,6 @@ _COMMANDS = {
     "lint": _cmd_lint,
     "list": _cmd_list,
     "disasm": _cmd_disasm,
-    "bench": _cmd_bench,
 }
 
 

@@ -8,16 +8,15 @@ across interpreter invocations.  Figures regenerate in parallel by
 priming the memo with :func:`prime_cells` / :func:`prime_regions`, which
 shard the cold cells over worker processes.
 
-Scale is controlled by the ``REPRO_BENCH_INSTRUCTIONS`` environment
-variable (default 5000 dynamic instructions per benchmark — enough for
-steady-state register-pressure behaviour of these loop-dominated
-kernels; raise it for tighter numbers).
+Scale is each call's ``instructions`` argument (``repro figure -n``);
+without one, a cell simulates :func:`default_instructions` — 5000 dynamic
+instructions per benchmark, enough for steady-state register-pressure
+behaviour of these loop-dominated kernels.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis import RegionReport
@@ -44,7 +43,7 @@ __all__ = [
 
 
 def default_instructions() -> int:
-    return int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", "5000"))
+    return 5000
 
 
 def default_int_suite() -> Tuple[str, ...]:

@@ -38,8 +38,21 @@ DEFAULT_BACKOFF = 0.25
 _POLL_INTERVAL = 0.05
 
 
+def _positive_seconds(value, name: str) -> float:
+    """*value* as a number of seconds > 0; a ValueError naming *name*
+    otherwise (a zero or negative deadline fails every cell)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = float("nan")
+    if not seconds > 0:
+        raise ValueError(f"{name} must be a number > 0, got {value!r}")
+    return seconds
+
+
 def default_timeout() -> float:
-    return float(os.environ.get(TIMEOUT_ENV, "600"))
+    """The per-cell deadline: ``$REPRO_CELL_TIMEOUT`` seconds, default 600."""
+    return _positive_seconds(os.environ.get(TIMEOUT_ENV, "600"), TIMEOUT_ENV)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -143,7 +156,8 @@ def run_specs(
         if diagnostic_executor is None:
             diagnostic_executor = execute_spec_diagnose
     progress = progress or SweepProgress()
-    timeout = default_timeout() if timeout is None else timeout
+    timeout = (default_timeout() if timeout is None
+               else _positive_seconds(timeout, "timeout"))
     jobs = resolve_jobs(jobs)
     context = _fork_context()
     if jobs <= 1 or context is None:

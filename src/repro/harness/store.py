@@ -4,7 +4,7 @@ Layout::
 
     <root>/                     ~/.cache/repro, or $REPRO_CACHE_DIR
       v-<fingerprint16>/        one generation per code version
-        <kind>-<digest16>.json  {"spec": ..., "result": ..., "elapsed": ...}
+        <kind>-<digest16>.json  {"spec": ..., "result": ...}
 
 The *code fingerprint* is a SHA-256 over every ``.py`` source of the
 ``repro`` package — the whole tree, so new subpackages are picked up
@@ -90,9 +90,6 @@ class ResultStore:
                  fingerprint: Optional[str] = None):
         self.root = Path(root) if root is not None else cache_root()
         self.fingerprint = fingerprint or code_fingerprint()
-        #: Lookups answered (or not) by this instance.
-        self.hits = 0
-        self.misses = 0
 
     # -- paths -------------------------------------------------------------------
     @property
@@ -110,7 +107,6 @@ class ResultStore:
             payload = json.loads(path.read_text())
             result = decode_result(payload["result"])
         except FileNotFoundError:
-            self.misses += 1
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
             # Corrupt entry (interrupted write of an old layout, truncated
@@ -118,22 +114,19 @@ class ResultStore:
             warnings.warn(f"repro cache: dropping corrupt entry {path.name} "
                           f"({type(exc).__name__}: {exc})", stacklevel=2)
             path.unlink(missing_ok=True)
-            self.misses += 1
             return None
-        self.hits += 1
         try:
             os.utime(path)  # LRU clock for `cache gc`
         except OSError:
             pass
         return result
 
-    def put(self, spec: Spec, result, elapsed: Optional[float] = None) -> Path:
+    def put(self, spec: Spec, result) -> Path:
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "spec": spec_to_dict(spec),
             "result": encode_result(result),
-            "elapsed": elapsed,
         }
         # Atomic publish: a reader sees the old entry or the new one,
         # never a torn write — concurrent writers of the same digest are

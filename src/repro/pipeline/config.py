@@ -83,15 +83,6 @@ class CoreConfig:
     # Memory hierarchy
     memory: HierarchyConfig = field(default_factory=HierarchyConfig)
 
-    # Simulation-speed switches (timing-neutral by construction).
-    # skip_ahead lets Core.run jump the cycle counter over quiescent
-    # windows — cycles in which no stage can make progress because every
-    # in-flight op waits on a known-latency completion event.  The jump is
-    # provably stats-identical to spinning (see DESIGN.md, "Tiered
-    # simulation"); it auto-disables whenever probes or an interrupt
-    # controller are attached, so observers always see every cycle.
-    skip_ahead: bool = True
-
     # Modeling switches
     execute_values: bool = True
     record_register_events: bool = False

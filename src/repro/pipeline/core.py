@@ -235,12 +235,13 @@ class Core:
     def run(self, max_cycles: Optional[int] = None) -> SimStats:
         """Simulate until the trace is fully committed; returns the stats.
 
-        When ``config.skip_ahead`` is set and no probes or interrupt
-        controller are attached, quiescent windows — stretches of cycles
-        in which no stage can make progress because everything in flight
-        waits on a known-latency event — are jumped instead of spun, with
-        the per-cycle rename-stall accounting replayed in bulk so the
-        resulting :class:`SimStats` are bit-identical to the spin loop.
+        When no probes or interrupt controller are attached, quiescent
+        windows — stretches of cycles in which no stage can make progress
+        because everything in flight waits on a known-latency event — are
+        jumped instead of spun, with the per-cycle rename-stall accounting
+        replayed in bulk so the resulting :class:`SimStats` are
+        bit-identical to the spin loop.  Attaching a probe makes every
+        cycle visible.
         """
         state = self.state
         if max_cycles is None:
@@ -249,7 +250,6 @@ class Core:
         last_committed = 0
         stats = state.stats
         step = self.step
-        skip_enabled = state.config.skip_ahead
         while not state.done:
             state.cycle += 1
             step()
@@ -259,8 +259,7 @@ class Core:
             else:
                 if state.cycle - last_commit_cycle > 200_000:
                     raise self._deadlock("no commit for 200k cycles")
-                if (skip_enabled and not state.done
-                        and state.probes is None
+                if (not state.done and state.probes is None
                         and state.interrupt_controller is None):
                     # Furthest cycle provably indistinguishable from
                     # spinning; clamped so the deadlock/max-cycle raises

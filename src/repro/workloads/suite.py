@@ -254,7 +254,15 @@ _trace_cache: "OrderedDict[Tuple[str, int], Trace]" = OrderedDict()
 
 
 def _trace_cache_max() -> int:
-    return max(1, int(os.environ.get(TRACE_CACHE_ENV, "32")))
+    text = os.environ.get(TRACE_CACHE_ENV, "32")
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{TRACE_CACHE_ENV} must be an integer >= 1, "
+                         f"got {text!r}")
+    return limit
 
 
 def build_trace(name: str, instructions: int = 20_000, use_cache: bool = True) -> Trace:
@@ -272,9 +280,11 @@ def build_trace(name: str, instructions: int = 20_000, use_cache: bool = True) -
         raise ValueError(f"a trace needs instructions >= 1, got {instructions}")
     name = resolve(name)
     key = (name, instructions)
-    if use_cache and key in _trace_cache:
-        _trace_cache.move_to_end(key)
-        return _trace_cache[key]
+    if use_cache:
+        limit = _trace_cache_max()  # a bad limit fails before any emulation
+        if key in _trace_cache:
+            _trace_cache.move_to_end(key)
+            return _trace_cache[key]
     entry, variant = workload_for(name)
     program = entry.build(instructions, variant=variant)
     trace = Emulator(program).run(max_instructions=instructions)
@@ -282,7 +292,7 @@ def build_trace(name: str, instructions: int = 20_000, use_cache: bool = True) -
     if use_cache:
         _trace_cache[key] = trace
         _trace_cache.move_to_end(key)
-        while len(_trace_cache) > _trace_cache_max():
+        while len(_trace_cache) > limit:
             _trace_cache.popitem(last=False)
     return trace
 

@@ -118,7 +118,6 @@ def test_cache_gc_max_bytes_zero(capsys, tmp_path, monkeypatch):
     ["sweep", "-b", "mcf", "-s", "atr", "-n", "-1"],
     ["validate", "--quick", "-n", "0"],
     ["lint", "mcf", "--oracle", "-n", "0"],
-    ["bench", "core", "--quick", "-n", "0"],
 ])
 def test_non_positive_instructions_rejected(capsys, argv):
     """A non-positive -n used to simulate nothing and exit 0 (figure
@@ -127,6 +126,36 @@ def test_non_positive_instructions_rejected(capsys, argv):
         main(argv)
     assert exit_info.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "bogus"], "unknown benchmark 'bogus'"),
+    (["compare", "bogus"], "unknown benchmark 'bogus'"),
+    (["analyze", "bogus"], "analyze: ambiguous or unknown benchmark 'bogus'"),
+    (["disasm", "bogus"], "unknown benchmark 'bogus'"),
+    (["sweep", "-b", "mcf,bogus"], "unknown benchmark 'bogus'"),
+    (["validate", "-b", "bogus"], "unknown benchmark 'bogus'"),
+    (["sweep", "-r", "abc"], "invalid comma-separated list value: 'abc'"),
+    (["validate", "-r", "abc"], "invalid comma-separated list value: 'abc'"),
+    (["sweep", "-r", "64,0"], "must be >= 1, got 0"),
+    (["run", "mcf", "-r", "20"], "run: int_rf_size 20 too small"),
+    (["compare", "mcf", "-r", "10"], "compare: int_rf_size 10 too small"),
+    (["run", "mcf", "-d", "-3"], "must be >= 0, got -3"),
+    (["sweep", "-d", "-1"], "must be >= 0, got -1"),
+], ids=["run-benchmark", "compare-benchmark", "analyze-benchmark",
+        "disasm-benchmark", "sweep-benchmarks", "validate-benchmarks",
+        "sweep-rf-text", "validate-rf-text", "sweep-rf-zero",
+        "run-rf-too-small", "compare-rf-too-small", "run-negative-delay",
+        "sweep-negative-delay"])
+def test_bad_input_is_usage_error(capsys, argv, message):
+    """Each of these used to exit 1 with a traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("limit", [["--max-bytes", "-1"], ["--max-age", "-5"]])

@@ -225,3 +225,16 @@ class TestTimeout:
         assert len(failures) == 1
         assert failures[0].attempts == 2
         assert "timeout" in failures[0].error
+
+    @pytest.mark.parametrize("value", ["0", "-1", "abc", "nan"])
+    def test_env_timeout_must_be_positive(self, monkeypatch, value):
+        """A deadline <= 0 used to fail every cell ("timeout after 0s");
+        text raised a bare float() error."""
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", value)
+        with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT"):
+            run_specs(SPECS, jobs=2, executor=_echo)
+
+    @pytest.mark.parametrize("timeout", [0, -1.5, "abc"])
+    def test_timeout_argument_must_be_positive(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            run_specs(SPECS, jobs=2, timeout=timeout, executor=_echo)

@@ -8,8 +8,6 @@ the replay committed a wrong register value or skipped a store, or
 warmup primed the core wrongly, one of the two comparisons exposes it.
 """
 
-import json
-
 import pytest
 
 from repro.frontend.emulator import Emulator
@@ -157,32 +155,3 @@ def test_tiered_rejects_register_event_recording():
                     tier=TierPolicy(mode="tiered"))
     with pytest.raises(ValueError, match="detailed"):
         simulate_cell(spec)
-
-
-def test_bench_history_appends_and_truncates(tmp_path):
-    from repro.bench import HISTORY_LIMIT, append_history
-
-    path = str(tmp_path / "BENCH_history.json")
-    result = {
-        "protocol": {"instructions": 100},
-        "aggregate": {"instr_per_sec": 1.0},
-        "tiered_aggregate": {"instr_per_sec": 5.0},
-    }
-    append_history(result, path)
-    append_history(result, path)
-    history = json.loads(open(path).read())
-    assert len(history) == 2
-    assert all("timestamp" in entry for entry in history)
-    assert history[-1]["tiered_aggregate"]["instr_per_sec"] == 5.0
-
-    # A corrupt trajectory restarts rather than crashing the bench.
-    with open(path, "w") as fh:
-        fh.write("{not json")
-    append_history(result, path)
-    assert len(json.loads(open(path).read())) == 1
-
-    # The trajectory stays bounded.
-    with open(path, "w") as fh:
-        json.dump([{"timestamp": "t"}] * HISTORY_LIMIT, fh)
-    append_history(result, path)
-    assert len(json.loads(open(path).read())) == HISTORY_LIMIT

@@ -237,6 +237,18 @@ class TestTraceCache:
         assert ("557.xz_r", 1000) not in _trace_cache
         clear_trace_cache()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_cache_limit_must_be_a_positive_int(self, monkeypatch, value):
+        """Checked before anything is built: "abc" used to raise only after
+        the trace was emulated and cached, and values below 1 read as 1."""
+        from repro.workloads import Workload
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", value)
+        monkeypatch.setattr(Workload, "build",
+                            lambda *args, **kwargs: pytest.fail("built"))
+        with pytest.raises(ValueError, match="REPRO_TRACE_CACHE"):
+            build_trace("505.mcf_r", 1234)
+
 
 class TestSynthesis:
     def test_profiles_generate_runnable_programs(self):
