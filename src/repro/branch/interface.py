@@ -32,7 +32,8 @@ class DirectionPredictor(abc.ABC):
 
     @abc.abstractmethod
     def update(self, pc: int, taken: bool) -> None:
-        """Train with the resolved direction (called at execute)."""
+        """Train with the trace direction (called at fetch, right after
+        :meth:`predict` for the same correct-path branch)."""
 
     def confidence(self, pc: int) -> bool:
         """True if the prediction is high-confidence (default: always)."""

@@ -2,9 +2,13 @@
 
 Combines a direction predictor, BTB, indirect predictor, and return
 address stack into the single ``predict``/``resolve`` interface the
-pipeline consumes.  Prediction happens at fetch; training happens when the
-branch resolves at execute (correct-path only — wrong-path branches train
-nothing, as in Scarab's trace-based mode).
+pipeline consumes.  Both happen at fetch: ``FetchStage.predict`` calls
+``resolve`` with the trace outcome right after ``predict`` for every
+correct-path branch (DESIGN.md, "Immediate predictor update");
+wrong-path branches are predicted but train nothing, as in Scarab's
+trace-based mode.  Because no other branch trains in between, the global
+history a branch was predicted with is the one it trains with, which is
+what lets TAGE reuse its lookup for the update.
 """
 
 from __future__ import annotations
@@ -86,7 +90,12 @@ class BranchUnit:
         self, pc: int, instr: Instruction, predicted: Prediction, taken: bool, target: int
     ) -> bool:
         """Train predictors with the actual outcome; return True on a
-        misprediction (called when a correct-path branch executes)."""
+        misprediction.
+
+        Called at fetch, immediately after :meth:`predict` for the same
+        correct-path branch (the trace already holds its outcome); the
+        pipeline still pays the misprediction when the branch executes.
+        """
         op_class = instr.op_class
         mispredicted = False
         if op_class is OpClass.BRANCH:

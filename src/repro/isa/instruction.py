@@ -66,6 +66,12 @@ class Instruction:
     # is_indirect, is_memory, is_load, is_store, may_except,
     # breaks_region_control, breaks_atomic_region (paper section 4.2.2),
     # is_halt.
+    #
+    # The rename plan is cached the same way: ``src_plan`` and
+    # ``dest_plan`` are the (register file, SRT slot) pair of every
+    # source and destination in operand order, and ``dest_counts`` holds
+    # (register file, destinations allocated from it) pairs, so renaming
+    # a dynamic instance re-derives nothing from its ArchRegs.
 
     def __post_init__(self) -> None:
         op = self.opcode
@@ -81,6 +87,13 @@ class Instruction:
         set_attr(self, "breaks_region_control", breaks_region_control(op))
         set_attr(self, "breaks_atomic_region", breaks_atomic_region(op))
         set_attr(self, "is_halt", op is Opcode.HALT)
+        set_attr(self, "src_plan", tuple((reg.cls.file, reg.srt_slot) for reg in self.srcs))
+        dest_plan = tuple((reg.cls.file, reg.srt_slot) for reg in self.dests)
+        set_attr(self, "dest_plan", dest_plan)
+        counts: dict = {}
+        for file, _slot in dest_plan:
+            counts[file] = counts.get(file, 0) + 1
+        set_attr(self, "dest_counts", tuple(counts.items()))
 
     # -- display -----------------------------------------------------------
     def render(self) -> str:

@@ -15,6 +15,7 @@ assembly::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .instruction import Instruction, validate_instruction
@@ -118,8 +119,7 @@ class ProgramBuilder:
 
     def words(self, addr: int, values: Sequence[int], stride: int = 8) -> None:
         """Place consecutive words starting at *addr*."""
-        for i, value in enumerate(values):
-            self._data[addr + i * stride] = value
+        self._data.update(zip(count(addr, stride), values))
 
     def _emit(self, opcode: Opcode, dests=(), srcs=(), imm=0, target=None) -> int:
         instr = Instruction(

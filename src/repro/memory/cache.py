@@ -9,9 +9,8 @@ treatment).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 
 @dataclass
@@ -57,41 +56,50 @@ class Cache:
         self.latency = latency
         self.num_sets = sets
         self._line_shift = line_bytes.bit_length() - 1
-        # set index -> OrderedDict {block_addr: state dict}; last = MRU
-        self._sets: Dict[int, OrderedDict] = {}
+        # set index -> resident block numbers, LRU first, MRU last
+        self._sets: Dict[int, List[int]] = {}
+        # Per-block state of resident blocks, cache-wide.
+        self._dirty: Set[int] = set()
+        self._prefetched: Set[int] = set()  # filled by a prefetch, not yet demand-hit
         self.stats = CacheStats()
 
     def block_of(self, addr: int) -> int:
         return addr >> self._line_shift
 
-    def _set_index(self, block: int) -> int:
-        return block % self.num_sets
-
     def lookup(self, addr: int, is_write: bool = False, update_stats: bool = True) -> bool:
-        """Probe for *addr*; on hit, update LRU (and dirty on writes)."""
-        block = self.block_of(addr)
-        target_set = self._sets.get(self._set_index(block))
+        """Probe for *addr*; on hit, update LRU (and dirty on writes).
+
+        ``update_stats=False`` keeps the LRU and dirty updates but counts
+        nothing and leaves a prefetched block's mark for its first
+        counted hit.
+        """
+        block = addr >> self._line_shift
+        blocks = self._sets.get(block % self.num_sets)
+        stats = self.stats
         if update_stats:
-            self.stats.accesses += 1
-        if target_set is not None and block in target_set:
-            target_set.move_to_end(block)
-            line = target_set[block]
+            stats.accesses += 1
+        if blocks is not None and block in blocks:
+            if blocks[-1] != block:
+                blocks.remove(block)
+                blocks.append(block)
             if is_write:
-                line["dirty"] = True
+                self._dirty.add(block)
             if update_stats:
-                self.stats.hits += 1
-                if line.pop("prefetched", False):
-                    self.stats.prefetch_hits += 1
+                stats.hits += 1
+                prefetched = self._prefetched
+                if block in prefetched:
+                    prefetched.remove(block)
+                    stats.prefetch_hits += 1
             return True
         if update_stats:
-            self.stats.misses += 1
+            stats.misses += 1
         return False
 
     def contains(self, addr: int) -> bool:
         """Probe without side effects."""
-        block = self.block_of(addr)
-        target_set = self._sets.get(self._set_index(block))
-        return target_set is not None and block in target_set
+        block = addr >> self._line_shift
+        blocks = self._sets.get(block % self.num_sets)
+        return blocks is not None and block in blocks
 
     def fill(self, addr: int, dirty: bool = False, prefetched: bool = False) -> Optional[int]:
         """Install the block containing *addr*.
@@ -99,35 +107,46 @@ class Cache:
         Returns the evicted block's base address if a dirty block was
         written back, else ``None``.
         """
-        block = self.block_of(addr)
-        index = self._set_index(block)
-        target_set = self._sets.setdefault(index, OrderedDict())
-        if block in target_set:
-            target_set.move_to_end(block)
+        block = addr >> self._line_shift
+        index = block % self.num_sets
+        blocks = self._sets.get(index)
+        if blocks is None:
+            blocks = self._sets[index] = []
+        elif block in blocks:
+            if blocks[-1] != block:
+                blocks.remove(block)
+                blocks.append(block)
             if dirty:
-                target_set[block]["dirty"] = True
+                self._dirty.add(block)
             return None
         writeback = None
-        if len(target_set) >= self.ways:
-            victim_block, victim = target_set.popitem(last=False)
+        if len(blocks) >= self.ways:
+            victim = blocks.pop(0)
             self.stats.evictions += 1
-            if victim["dirty"]:
+            self._prefetched.discard(victim)
+            if victim in self._dirty:
+                self._dirty.remove(victim)
                 self.stats.writebacks += 1
-                writeback = victim_block << self._line_shift
-        target_set[block] = {"dirty": dirty, "prefetched": prefetched}
+                writeback = victim << self._line_shift
+        blocks.append(block)
+        if dirty:
+            self._dirty.add(block)
         if prefetched:
+            self._prefetched.add(block)
             self.stats.prefetch_fills += 1
         return writeback
 
     def invalidate(self, addr: int) -> None:
-        block = self.block_of(addr)
-        target_set = self._sets.get(self._set_index(block))
-        if target_set is not None:
-            target_set.pop(block, None)
+        block = addr >> self._line_shift
+        blocks = self._sets.get(block % self.num_sets)
+        if blocks is not None and block in blocks:
+            blocks.remove(block)
+            self._dirty.discard(block)
+            self._prefetched.discard(block)
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()
 
     @property
     def resident_blocks(self) -> int:
-        return sum(len(s) for s in self._sets.values())
+        return sum(len(blocks) for blocks in self._sets.values())

@@ -20,7 +20,7 @@ from .probes import (
 from .rob import ROBEntry, ReorderBuffer
 from .state import FetchedInstr, PipelineState, StoreRecord, build_state
 from .stats import RegisterEventLog, RegisterLifetime, SimStats
-from .warmup import WarmupState, apply_warmup, fast_forward
+from .warmup import WarmupState, fast_forward
 
 __all__ = [
     "CoreConfig", "golden_cove_config", "fast_test_config",
@@ -32,5 +32,5 @@ __all__ = [
     "PipelineState", "FetchedInstr", "StoreRecord", "build_state",
     "Probe", "ProbeManager", "RecordingProbe", "RegisterEventProbe",
     "PROBE_EVENTS", "PHASE_ORDER",
-    "WarmupState", "fast_forward", "apply_warmup",
+    "WarmupState", "fast_forward",
 ]

@@ -80,12 +80,7 @@ class Core:
         if scheme is None:
             scheme = make_scheme(config.scheme, config.redefine_delay,
                                  config.scheme_debug_checks)
-        self.state = build_state(config, trace, scheme)
-        if warmup is not None:
-            # Must precede stage construction: stages cache identity-
-            # stable references to branch_unit/memory/mem_values.
-            from .warmup import apply_warmup
-            apply_warmup(self.state, warmup)
+        self.state = build_state(config, trace, scheme, warmup)
         self._chained_release = None
         self._chained_claim = None
         # Freeze the dispatcher bound methods: attribute access would mint

@@ -17,7 +17,7 @@ old monolithic ``Core``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..branch import BranchUnit, Prediction
 from ..frontend import ArchState, DynamicInstruction, Trace, WrongPathSupplier, canonical_memory
@@ -28,6 +28,9 @@ from ..rename.schemes import ReleaseScheme
 from .config import CoreConfig
 from .rob import ROBEntry, ReorderBuffer
 from .stats import SimStats
+
+if TYPE_CHECKING:
+    from .warmup import WarmupState
 
 #: Bytes per data word (the unit of store-forwarding bookkeeping).
 WORD = 8
@@ -193,8 +196,18 @@ def prewarm_code_image(config: CoreConfig, memory: MemoryHierarchy,
         memory.l2.fill(addr)
 
 
-def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme) -> PipelineState:
-    """Construct the machine state for one run (scheme already built)."""
+def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
+                warmup: Optional["WarmupState"] = None) -> PipelineState:
+    """Construct the machine state for one run (scheme already built).
+
+    A cold core builds a fresh predictor and caches (icache pre-warmed)
+    and copies the program's data image.  A core seeded from a
+    :class:`~.warmup.WarmupState` instead adopts the checkpoint's
+    predictor, caches and memory image, which then belong to this core
+    alone (a second use of the checkpoint raises), and primes the
+    architectural registers through the initial RAT mapping, so the
+    window's value execution continues exactly from the prefix.
+    """
     rename_unit = RenameUnit(
         int_size=config.int_rf_size,
         vec_size=config.vec_rf_size,
@@ -203,10 +216,23 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme) -> Pipe
     )
     scheme.attach(rename_unit)
 
-    from .stages.fetch import make_predictor
-    branch_unit = BranchUnit(direction=make_predictor(config.predictor))
-    memory = MemoryHierarchy(config.memory)
-    prewarm_code_image(config, memory, trace.program)
+    int_values = [0] * config.int_rf_size
+    vec_values = [(0, 0, 0, 0)] * config.vec_rf_size
+    if warmup is None:
+        from .stages.fetch import make_predictor
+        branch_unit = BranchUnit(direction=make_predictor(config.predictor))
+        memory = MemoryHierarchy(config.memory)
+        prewarm_code_image(config, memory, trace.program)
+        mem_values = dict(trace.program.data)
+    else:
+        branch_unit, memory, arch = warmup.take()
+        mem_values = arch.memory
+        int_rat = rename_unit.files[RegClass.INT].rat
+        vec_rat = rename_unit.files[RegClass.VEC].rat
+        for i in range(16):
+            int_values[int_rat.read(ireg(i).srt_slot)] = arch.int_regs[i]
+            vec_values[vec_rat.read(vreg(i).srt_slot)] = arch.vec_regs[i]
+        int_values[int_rat.read(FLAGS.srt_slot)] = arch.flags
 
     return PipelineState(
         config=config,
@@ -223,9 +249,6 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme) -> Pipe
             RegClass.INT: [True] * config.int_rf_size,
             RegClass.VEC: [True] * config.vec_rf_size,
         },
-        values={
-            RegClass.INT: [0] * config.int_rf_size,
-            RegClass.VEC: [(0, 0, 0, 0)] * config.vec_rf_size,
-        },
-        mem_values=dict(trace.program.data),
+        values={RegClass.INT: int_values, RegClass.VEC: vec_values},
+        mem_values=mem_values,
     )

@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..branch import BranchUnit
 from ..frontend import ArchState, Emulator, Trace
-from ..isa import FLAGS, I_BYTES, RegClass, ireg, vreg
+from ..isa import I_BYTES
 from ..memory import MemoryHierarchy
 from .config import CoreConfig
 from .state import prewarm_code_image
@@ -48,8 +48,9 @@ from .state import prewarm_code_image
 
 def _clone(obj):
     """Deep copy via pickle — several times faster than ``copy.deepcopy``
-    on the dict-heavy predictor/cache state cloned here (enum members
-    pickle by name, so singletons stay singletons)."""
+    on the predictor/cache state cloned here, whose TAGE tables and
+    cache tag stores are flat arrays and int lists (enum members pickle
+    by name, so singletons stay singletons)."""
     return pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
 
 
@@ -57,15 +58,25 @@ def _clone(obj):
 class WarmupState:
     """Primed state at one fast-forward stop.
 
-    A checkpoint seeds exactly one detailed core: ``apply_warmup`` moves
-    the predictor and caches into it (``None`` here afterwards), and a
-    second use raises.
+    A checkpoint seeds exactly one detailed core: the core adopts its
+    predictor, caches and architectural state (:meth:`take` leaves
+    ``None`` here), and a second use raises.
     """
 
     instructions: int  #: prefix length executed before this stop
-    arch: ArchState
+    arch: Optional[ArchState]
     branch_unit: Optional[BranchUnit]
     memory: Optional[MemoryHierarchy]
+
+    def take(self) -> Tuple[BranchUnit, MemoryHierarchy, ArchState]:
+        """Hand the predictor, caches and architectural state to one core."""
+        if self.branch_unit is None:
+            raise RuntimeError(
+                f"warmup checkpoint at instruction {self.instructions} "
+                f"already seeded a core")
+        state = (self.branch_unit, self.memory, self.arch)
+        self.branch_unit = self.memory = self.arch = None
+        return state
 
 
 def fast_forward(config: CoreConfig, trace: Trace,
@@ -130,33 +141,3 @@ def fast_forward(config: CoreConfig, trace: Trace,
             memory=warm_memory,
         ))
     return snapshots
-
-
-def apply_warmup(state, warmup: WarmupState) -> None:
-    """Install *warmup* into a freshly built ``PipelineState``.
-
-    Must run before stages are constructed (stages cache identity-stable
-    references to ``state.branch_unit`` / ``state.memory``).  The
-    predictor and caches move into the pipeline, so a second core seeded
-    from the same checkpoint raises instead of sharing them.  The
-    architectural registers are primed through the initial RAT mapping,
-    so the window's value execution continues exactly from the prefix.
-    """
-    if warmup.branch_unit is None:
-        raise RuntimeError(
-            f"warmup checkpoint at instruction {warmup.instructions} "
-            f"already seeded a core")
-    state.branch_unit, state.memory = warmup.branch_unit, warmup.memory
-    warmup.branch_unit = warmup.memory = None
-    arch = warmup.arch
-    unit = state.rename_unit
-    int_rat = unit.files[RegClass.INT].rat
-    vec_rat = unit.files[RegClass.VEC].rat
-    int_values = state.values[RegClass.INT]
-    vec_values = state.values[RegClass.VEC]
-    for i in range(16):
-        int_values[int_rat.read(ireg(i).srt_slot)] = arch.int_regs[i]
-        vec_values[vec_rat.read(vreg(i).srt_slot)] = arch.vec_regs[i]
-    int_values[int_rat.read(FLAGS.srt_slot)] = arch.flags
-    state.mem_values.clear()
-    state.mem_values.update(arch.memory)

@@ -102,12 +102,10 @@ class RenameUnit:
     def can_rename(self, instr: Instruction) -> bool:
         """True if the free lists are above the stall watermark for the
         destinations *instr* needs."""
-        needs: Dict[RegClass, int] = {}
-        for dest in instr.dests:
-            file = dest.cls.file
-            needs[file] = needs.get(file, 0) + 1
-        for file_cls, count in needs.items():
-            if self.files[file_cls].free_count - count < self.reserve:
+        files = self.files
+        reserve = self.reserve
+        for file_cls, count in instr.dest_counts:
+            if files[file_cls].freelist.free_count - count < reserve:
                 return False
         return True
 
@@ -118,13 +116,9 @@ class RenameUnit:
         ATR's two-bit flush walk, which matches sources by architectural
         register.
         """
-        out = []
-        for src in instr.srcs:
-            file_cls = src.cls.file
-            file = self.files[file_cls]
-            slot = src.srt_slot
-            out.append((file_cls, slot, file.rat.read(slot)))
-        return out
+        files = self.files
+        return [(file_cls, slot, files[file_cls].rat.read(slot))
+                for file_cls, slot in instr.src_plan]
 
     def allocate_dests(self, instr: Instruction, cycle: int, seq: int) -> List[DestRecord]:
         """Allocate a new ptag per destination and update the SRT.
@@ -132,20 +126,15 @@ class RenameUnit:
         Caller must have checked :meth:`can_rename`.
         """
         records = []
-        for dest in instr.dests:
-            file = self.files[dest.cls.file]
+        files = self.files
+        for file_cls, slot in instr.dest_plan:
+            file = files[file_cls]
             new_ptag = file.freelist.allocate()
-            file.prt.on_allocate(new_ptag, cycle, seq)
-            prev = file.rat.write(dest.srt_slot, new_ptag)
-            records.append(
-                DestRecord(
-                    file=dest.cls.file,
-                    slot=dest.srt_slot,
-                    new_ptag=new_ptag,
-                    prev_ptag=prev,
-                    new_epoch=file.prt.epoch(new_ptag),
-                )
-            )
+            prt = file.prt
+            prt.on_allocate(new_ptag, cycle, seq)
+            records.append(DestRecord(file_cls, slot, new_ptag,
+                                      file.rat.write(slot, new_ptag),
+                                      prt.epoch(new_ptag)))
         return records
 
     def srt_snapshots(self) -> tuple:

@@ -15,10 +15,10 @@ misses — the regime the paper's RF-size sweeps measure.
 
 from __future__ import annotations
 
-import random
 from typing import Callable
 
 from ..isa import Program, ProgramBuilder, ireg, vreg
+from .kernels_int import _lcg_words
 
 _A = 0x200000
 _B = 0x800000
@@ -27,8 +27,7 @@ _ARRAY_BYTES = _ARRAY_WORDS * 8
 
 
 def _fill(b: ProgramBuilder, base: int, seed: int, bound: int = 1 << 20) -> None:
-    rng = random.Random(seed)
-    b.words(base, [rng.randrange(1, bound) for _ in range(_ARRAY_WORDS)])
+    b.words(base, _lcg_words(seed, _ARRAY_WORDS, bound, start=1))
 
 
 def _streaming_kernel(

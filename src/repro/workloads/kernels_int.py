@@ -16,6 +16,9 @@ for its embedded data, so traces are deterministic but non-trivial.
 from __future__ import annotations
 
 import random
+from typing import List
+
+import numpy as np
 
 from ..isa import LINK_REG, Program, ProgramBuilder, ireg
 
@@ -25,9 +28,36 @@ _TABLE = 0x400000
 _STACK = 0x800000
 
 
-def _lcg_words(seed: int, count: int, bound: int = 1 << 30):
+def _lcg_words(seed: int, count: int, bound: int = 1 << 30,
+               start: int = 0) -> List[int]:
+    """``[rng.randrange(start, bound) for _ in range(count)]`` with
+    ``rng = random.Random(seed)``, drawn in bulk.
+
+    ``randrange`` draws one Mersenne Twister word per try, keeps its top
+    ``(bound - start).bit_length()`` bits and retries while the value is
+    out of range.  ``getrandbits(32 * m)`` returns the same words, least
+    significant first, so shifting and rejecting them in numpy yields the
+    same values.  The generator is private, so drawing past the last
+    accepted word changes nothing.
+    """
+    width = bound - start
+    bits = width.bit_length()
+    if width < 1 or bits > 32:
+        raise ValueError(f"cannot draw from range({start}, {bound})")
     rng = random.Random(seed)
-    return [rng.randrange(bound) for _ in range(count)]
+    kept = []
+    need = count
+    while need > 0:
+        # A word is kept with probability width / 2**bits, so this draws
+        # about enough; a shortfall takes another round.
+        draw = (need << bits) // width + 64
+        words = np.frombuffer(
+            rng.getrandbits(32 * draw).to_bytes(4 * draw, "little"),
+            dtype="<u4") >> (32 - bits)
+        accepted = words[words < width][:need]
+        kept.append(accepted.astype(np.int64) + start)
+        need -= len(accepted)
+    return np.concatenate(kept).tolist() if kept else []
 
 
 def perlbench(iterations: int = 64, seed: int = 1) -> Program:

@@ -1,6 +1,7 @@
 """Direction predictors: bimodal, gshare, TAGE, loop predictor."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.branch import (
     AlwaysNotTaken,
@@ -124,6 +125,63 @@ class TestTage:
         self._train(p, [False], pc=0x20, reps=30)
         assert p.predict(0x10) is True
         assert p.predict(0x20) is False
+
+
+class TestTageGeometry:
+    @pytest.mark.parametrize("kwargs", [
+        {"tag_bits": 1},
+        {"tag_bits": 17},
+        {"table_entries": 1},
+        {"min_history": 0},
+        # Geometric lengths 4..9 over a 6-bit history register.
+        {"num_tables": 6, "min_history": 4, "max_history": 6},
+    ], ids=["tag_bits=1", "tag_bits=17", "table_entries=1", "min_history=0",
+            "lengths-beyond-register"])
+    def test_rejects_geometry_it_cannot_model(self, kwargs):
+        with pytest.raises(ValueError):
+            Tage(**kwargs)
+
+    def test_default_lengths_fill_the_history_register(self):
+        lengths = [t.history_length for t in Tage().tables]
+        assert lengths == [4, 8, 16, 32, 64, 128]
+
+
+def _chunked_fold(history: int, length: int, width: int) -> int:
+    """The fold TAGE once recomputed on every lookup: the low *length*
+    history bits XOR-folded down to *width* bits, one chunk at a time."""
+    masked = history & ((1 << length) - 1)
+    folded = 0
+    while masked:
+        folded ^= masked & ((1 << width) - 1)
+        masked >>= width
+    return folded
+
+
+#: 300 outcomes: enough to push bits out of a 128-bit window.
+_STREAM = [((i * 2654435761) >> 9) & 1 == 1 for i in range(300)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(length=st.integers(1, 128), index_bits=st.integers(1, 12),
+       tag_bits=st.integers(2, 16),
+       outcomes=st.lists(st.booleans(), max_size=300))
+@example(length=40, index_bits=10, tag_bits=5, outcomes=_STREAM)  # L % w == 0
+@example(length=7, index_bits=10, tag_bits=9, outcomes=_STREAM)   # L < w
+@example(length=128, index_bits=10, tag_bits=9, outcomes=_STREAM)  # L == 128
+def test_folded_registers_equal_chunked_fold(length, index_bits, tag_bits,
+                                             outcomes):
+    """Each O(1) register update equals re-folding the whole history."""
+    tage = Tage(num_tables=1, table_entries=1 << index_bits,
+                tag_bits=tag_bits, min_history=length, max_history=128,
+                with_loop_predictor=False)
+    table = tage.tables[0]
+    assert table.history_length == length
+    for taken in outcomes:
+        tage.update(0x40, taken)
+        history = tage.history
+        assert table.fold_index == _chunked_fold(history, length, index_bits)
+        assert table.fold_tag == _chunked_fold(history, length, tag_bits)
+        assert table.fold_tag1 == _chunked_fold(history, length, tag_bits - 1)
 
 
 class TestLoopPredictor:

@@ -1,9 +1,13 @@
 """Set-associative cache model."""
 
+from collections import OrderedDict
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory import Cache
+from repro.memory.cache import CacheStats
 
 
 def _cache(size=1024, ways=2, line=64, latency=3):
@@ -124,3 +128,127 @@ def test_stats_account_every_access(addresses):
     for addr in addresses:
         c.lookup(addr) or c.fill(addr)
     assert c.stats.hits + c.stats.misses == c.stats.accesses == len(addresses)
+
+
+class _ReferenceCache:
+    """The tag store :class:`Cache` used to keep: one ``OrderedDict`` per
+    set holding a ``{"dirty", "prefetched"}`` dict per line.  The flat
+    tag store must match it call for call."""
+
+    def __init__(self, size_bytes, ways, line_bytes):
+        self.ways = ways
+        self.num_sets = size_bytes // (ways * line_bytes)
+        self._line_shift = line_bytes.bit_length() - 1
+        self._sets = {}
+        self.stats = CacheStats()
+
+    def lookup(self, addr, is_write=False, update_stats=True):
+        block = addr >> self._line_shift
+        target_set = self._sets.get(block % self.num_sets)
+        if update_stats:
+            self.stats.accesses += 1
+        if target_set is not None and block in target_set:
+            target_set.move_to_end(block)
+            line = target_set[block]
+            if is_write:
+                line["dirty"] = True
+            if update_stats:
+                self.stats.hits += 1
+                if line.pop("prefetched", False):
+                    self.stats.prefetch_hits += 1
+            return True
+        if update_stats:
+            self.stats.misses += 1
+        return False
+
+    def contains(self, addr):
+        block = addr >> self._line_shift
+        target_set = self._sets.get(block % self.num_sets)
+        return target_set is not None and block in target_set
+
+    def fill(self, addr, dirty=False, prefetched=False):
+        block = addr >> self._line_shift
+        target_set = self._sets.setdefault(block % self.num_sets, OrderedDict())
+        if block in target_set:
+            target_set.move_to_end(block)
+            if dirty:
+                target_set[block]["dirty"] = True
+            return None
+        writeback = None
+        if len(target_set) >= self.ways:
+            victim_block, victim = target_set.popitem(last=False)
+            self.stats.evictions += 1
+            if victim["dirty"]:
+                self.stats.writebacks += 1
+                writeback = victim_block << self._line_shift
+        target_set[block] = {"dirty": dirty, "prefetched": prefetched}
+        if prefetched:
+            self.stats.prefetch_fills += 1
+        return writeback
+
+    def invalidate(self, addr):
+        block = addr >> self._line_shift
+        target_set = self._sets.get(block % self.num_sets)
+        if target_set is not None:
+            target_set.pop(block, None)
+
+    @property
+    def resident_blocks(self):
+        return sum(len(s) for s in self._sets.values())
+
+
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["lookup", "fill", "invalidate", "contains"]),
+    # 8 blocks over 2 sets: conflicts evict and re-hit blocks often.
+    st.integers(min_value=0, max_value=8 * 64 - 1),
+    st.booleans(), st.booleans()), min_size=10, max_size=200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ways=st.sampled_from([1, 2, 4]), ops=_OPS)
+def test_flat_tag_store_matches_ordered_dict_reference(ways, ops):
+    """Random lookups (writes, uncounted probes), fills (dirty,
+    prefetched) and invalidations: every return value, every counter and
+    the resident count agree with the reference model."""
+    size = 2 * ways * 64  # 2 sets
+    cache = Cache("T", size, ways, 64, 3)
+    reference = _ReferenceCache(size, ways, 64)
+    for kind, addr, first, second in ops:
+        if kind == "lookup":
+            args = dict(is_write=first, update_stats=second)
+            assert cache.lookup(addr, **args) == reference.lookup(addr, **args)
+        elif kind == "fill":
+            args = dict(dirty=first, prefetched=second)
+            assert cache.fill(addr, **args) == reference.fill(addr, **args)
+        elif kind == "invalidate":
+            cache.invalidate(addr)
+            reference.invalidate(addr)
+        else:
+            assert cache.contains(addr) == reference.contains(addr)
+        assert asdict(cache.stats) == asdict(reference.stats)
+        assert cache.resident_blocks == reference.resident_blocks
+        # Same blocks per set in the same LRU -> MRU order, same marks.
+        assert cache._sets == {index: list(lines)
+                               for index, lines in reference._sets.items()}
+        lines = {block: line for lines in reference._sets.values()
+                 for block, line in lines.items()}
+        assert cache._dirty == {b for b, line in lines.items() if line["dirty"]}
+        assert cache._prefetched == {b for b, line in lines.items()
+                                     if line.get("prefetched")}
+
+
+class TestUncountedProbe:
+    def test_keeps_lru_and_dirty_but_counts_nothing(self):
+        c = _cache(size=128, ways=2, line=64)  # one set
+        c.fill(0, prefetched=True)
+        c.fill(64)
+        before = asdict(c.stats)
+        assert c.lookup(0, is_write=True, update_stats=False)
+        assert asdict(c.stats) == before
+        assert c.fill(128) is None      # 0 is MRU now: 64 is the victim
+        assert c.fill(192) == 0         # then 0 goes, written back
+        c.fill(0, prefetched=True)
+        c.lookup(0, update_stats=False)
+        c.lookup(0)                     # first counted hit claims the mark
+        c.lookup(0)
+        assert c.stats.prefetch_hits == 1

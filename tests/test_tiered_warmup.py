@@ -8,6 +8,9 @@ the replay committed a wrong register value or skipped a store, or
 warmup primed the core wrongly, one of the two comparisons exposes it.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.frontend.emulator import Emulator
@@ -89,6 +92,53 @@ def test_warmup_checkpoint_seeds_one_core():
     with pytest.raises(RuntimeError, match="already seeded a core"):
         Core(config, slice_trace(trace, window), warmup=warm)
     assert core.run().committed == 800
+
+
+def test_warm_cores_adopt_the_fast_forward_state(monkeypatch):
+    """k windows build one predictor and one hierarchy, the ones
+    fast_forward primes; each core adopts its checkpoint's copy."""
+    from repro.branch import Tage
+    from repro.memory import MemoryHierarchy
+
+    built = {"tage": 0, "memory": 0}
+    tage_init, memory_init = Tage.__init__, MemoryHierarchy.__init__
+
+    def counting_tage(self, *args, **kwargs):
+        built["tage"] += 1
+        tage_init(self, *args, **kwargs)
+
+    def counting_memory(self, *args, **kwargs):
+        built["memory"] += 1
+        memory_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tage, "__init__", counting_tage)
+    monkeypatch.setattr(MemoryHierarchy, "__init__", counting_memory)
+    trace = build_trace("505.mcf_r", 6000)
+    config = fast_test_config(rf_size=64, scheme="atr")
+    _, _, info = run_tiered(config, trace, interval=1000, max_windows=3)
+    assert len(info["windows"]) == 3
+    assert built == {"tage": 1, "memory": 1}
+
+
+#: Every SimStats and SchemeStats field and each window's cycles of four
+#: tiered cells: golden_stats.json pins only cold cores, so these are
+#: what pin warm checkpoint state (predictor, caches, adopted core).
+TIERED_PINS = json.loads(
+    (Path(__file__).parent / "data" / "tiered_stats.json").read_text())
+
+
+@pytest.mark.parametrize("index", range(len(TIERED_PINS["cells"])))
+def test_tiered_cell_reproduces_pinned_stats(index):
+    cell = TIERED_PINS["cells"][index]
+    spec = CellSpec(cell["benchmark"], TIERED_PINS["rf_size"], cell["scheme"],
+                    TIERED_PINS["instructions"],
+                    tier=TierPolicy(**TIERED_PINS["tier"]))
+    result = simulate_cell(spec)
+    assert [w["cycles"] for w in result.tier_info["windows"]] == \
+        cell["window_cycles"]
+    assert json.loads(json.dumps(result.stats.to_dict())) == cell["sim_stats"]
+    assert json.loads(json.dumps(result.scheme_stats.to_dict())) == \
+        cell["scheme_stats"]
 
 
 def test_tiered_stitching_scales_to_full_trace():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,22 @@ import numpy as np
 #: length: any change to a ref's dynamic instruction stream fails here.
 TRACE_DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "trace_digests.json").read_text())
+
+
+#: A digest of every ref's initial data image at ``builder_for(name)(4)``:
+#: the trace digests alone miss data values a ref never branches on.
+DATA_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "data_digests.json").read_text())
+
+
+def data_digest(program) -> str:
+    """sha256 of the image's addresses, then its values, in address order."""
+    data = program.data
+    addrs = np.fromiter(data.keys(), dtype="<i8", count=len(data))
+    values = np.fromiter(data.values(), dtype="<i8", count=len(data))
+    order = np.argsort(addrs, kind="stable")
+    return hashlib.sha256(
+        addrs[order].tobytes() + values[order].tobytes()).hexdigest()
 
 
 def trace_digest(trace) -> str:
@@ -106,6 +123,26 @@ class TestTraceBuild:
         trace = build_trace(name, TRACE_DIGESTS["instructions"])
         assert len(trace) == TRACE_DIGESTS["instructions"]
         assert trace_digest(trace) == TRACE_DIGESTS["digests"][name]
+
+    def test_every_data_image_matches_pinned_digest(self):
+        assert sorted(DATA_DIGESTS["digests"]) == sorted(
+            workload_names(variants=True))
+        drifted = [name for name, digest in sorted(DATA_DIGESTS["digests"].items())
+                   if data_digest(builder_for(name)(DATA_DIGESTS["iterations"]))
+                   != digest]
+        assert not drifted
+
+    @pytest.mark.parametrize("count", [0, 1, 700])
+    @pytest.mark.parametrize("bound,start", [
+        (1, 0), (2, 0), (3, 0), (256, 0), (1 << 16, 0), (1 << 16, 1),
+        (1 << 20, 0), (1 << 20, 1), (1 << 30, 0)])
+    def test_bulk_draw_matches_randrange_loop(self, bound, start, count):
+        """``1 << 16`` keeps 17 bits and rejects about half the words."""
+        from repro.workloads.kernels_int import _lcg_words
+
+        rng = random.Random(11)
+        expected = [rng.randrange(start, bound) for _ in range(count)]
+        assert _lcg_words(11, count, bound, start=start) == expected
 
     @pytest.mark.parametrize("name", ["505.mcf_r", "508.namd_r"])
     def test_cold_build_is_one_functional_pass(self, name, monkeypatch):
