@@ -7,6 +7,7 @@ from .emulator import (
     canonical_memory,
     canonical_state,
     final_state,
+    memory_image,
     run_program,
 )
 from .trace import DynamicInstruction, Trace
@@ -14,7 +15,7 @@ from .wrongpath import WrongPathSupplier
 
 __all__ = [
     "Emulator", "ArchState", "EmulationError", "run_program", "final_state",
-    "canonical_memory", "canonical_state",
+    "canonical_memory", "canonical_state", "memory_image",
     "DynamicInstruction", "Trace",
     "WrongPathSupplier",
 ]

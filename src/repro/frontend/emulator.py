@@ -15,18 +15,21 @@ cycle simulator's value-execution mode, so the two models cannot drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..isa import (
+    FLAGS,
+    INT_SRT_SLOTS,
     NUM_INT_REGS,
-    NUM_VEC_REGS,
     VEC_LANES,
+    VEC_SRT_SLOTS,
     ArchReg,
     Opcode,
     Program,
     RegClass,
 )
-from ..isa.semantics import MASK64, branch_taken, compute
+from ..isa.semantics import CONDITIONS, EVALUATORS, MASK64
 from .trace import DynamicInstruction, Trace
 
 #: 8-byte words; vector memory operations touch VEC_LANES consecutive words.
@@ -43,6 +46,14 @@ def canonical_memory(memory: Dict[int, int]) -> Dict[int, int]:
     spuriously from one that filters them (the cycle core).
     """
     return {addr: value for addr, value in memory.items() if value != 0}
+
+
+def memory_image(data: Dict[int, int], written: Dict[int, int]) -> Dict[int, int]:
+    """The full memory image: the program's *data* image overlaid by the
+    *written* words, built only for comparisons (no model keeps one)."""
+    image = dict(data)
+    image.update(written)
+    return image
 
 
 @dataclass
@@ -105,6 +116,45 @@ class EmulationError(RuntimeError):
     """Raised on architecturally impossible situations (bad PC, etc.)."""
 
 
+# What the emulator does with a static instruction, decoded once per
+# program (``Emulator._decoded``).
+_VALUE, _LOAD, _VLOAD, _STORE, _VSTORE, _BRANCH, _JUMP, _CALL, _INDIRECT, \
+    _NOP, _HALT = range(11)
+
+_KINDS = {
+    Opcode.LD: _LOAD,
+    Opcode.VLD: _VLOAD,
+    Opcode.ST: _STORE,
+    Opcode.VST: _VSTORE,
+    Opcode.BEQ: _BRANCH,
+    Opcode.BNE: _BRANCH,
+    Opcode.BLT: _BRANCH,
+    Opcode.BGE: _BRANCH,
+    Opcode.JMP: _JUMP,
+    Opcode.CALL: _CALL,
+    Opcode.JR: _INDIRECT,
+    Opcode.RET: _INDIRECT,
+    Opcode.NOP: _NOP,
+    Opcode.HALT: _HALT,
+}
+_KINDS.update(dict.fromkeys(EVALUATORS, _VALUE))
+
+#: Where each register file's SRT slots start in the flat register list.
+_FILE_BASE = {RegClass.INT: 0, RegClass.VEC: INT_SRT_SLOTS}
+_FLAGS_INDEX = FLAGS.srt_slot
+_LANE_OFFSETS = tuple(lane * WORD_BYTES for lane in range(VEC_LANES))
+
+
+def _reader(indices: Tuple[int, ...]):
+    """A getter returning the registers at *indices*, in order, as one
+    sequence.  ``itemgetter`` returns a bare value for a single index,
+    so fewer than two indices read a slice instead."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return itemgetter(slice(start, start + len(indices)))
+
+
 class Emulator:
     """Architectural executor for the reproduction ISA.
 
@@ -112,143 +162,162 @@ class Emulator:
     (the *possibility* of the exception is what matters for atomic-region
     classification, and the paper's simulated SimPoints likewise take no
     real faults).  Loads from unwritten memory return zero.
+
+    Registers live in one list: the integer file's SRT slots (FLAGS is
+    slot 16), then the vector file's.  Every value stays in
+    ``0..2**64-1``: each evaluator result does, and so does every
+    data-image word (:meth:`~repro.isa.program.ProgramBuilder.word`
+    rejects others).  Memory is the program's data image, which nothing
+    writes, overlaid by ``written``: the words stored since reset.
     """
 
     def __init__(self, program: Program):
         self.program = program
-        self.int_regs = [0] * NUM_INT_REGS
-        self.vec_regs = [(0,) * VEC_LANES for _ in range(NUM_VEC_REGS)]
-        self.flags = 0
-        self.memory: Dict[int, int] = dict(program.data)
+        self.regs: list = ([0] * INT_SRT_SLOTS
+                           + [(0,) * VEC_LANES] * VEC_SRT_SLOTS)
+        self.written: Dict[int, int] = {}
         self.pc = 0
         self.halted = False
         self.executed = 0
+        # Each static instruction decoded once: (instruction, kind, reader
+        # of its source values, destination register index or None, value
+        # evaluator or branch condition).
+        self._decoded = tuple(
+            (instr,
+             _KINDS[instr.opcode],
+             _reader(tuple(_FILE_BASE[file] + slot for file, slot in instr.src_plan)),
+             _FILE_BASE[instr.dest_plan[0][0]] + instr.dest_plan[0][1]
+             if instr.dest_plan else None,
+             EVALUATORS.get(instr.opcode) or CONDITIONS.get(instr.opcode))
+            for instr in program.instructions)
 
     # -- state access --------------------------------------------------------
+    def registers(self) -> Dict[RegClass, Tuple]:
+        """Register values per file, in SRT-slot order."""
+        regs = self.regs
+        return {RegClass.INT: tuple(regs[:INT_SRT_SLOTS]),
+                RegClass.VEC: tuple(regs[INT_SRT_SLOTS:])}
+
     def snapshot(self) -> ArchState:
+        """The full architectural state, data image included (for
+        comparisons; the emulation itself never builds it)."""
+        regs = self.regs
         return ArchState(
-            int_regs=tuple(self.int_regs),
-            vec_regs=tuple(self.vec_regs),
-            flags=self.flags,
-            memory=dict(self.memory),
+            int_regs=tuple(regs[:NUM_INT_REGS]),
+            vec_regs=tuple(regs[INT_SRT_SLOTS:]),
+            flags=regs[_FLAGS_INDEX],
+            memory=memory_image(self.program.data, self.written),
         )
 
-    def read_reg(self, reg: ArchReg):
-        if reg.cls is RegClass.FLAGS:
-            return self.flags
-        if reg.cls is RegClass.INT:
-            return self.int_regs[reg.index]
-        return self.vec_regs[reg.index]
-
-    def write_reg(self, reg: ArchReg, value) -> None:
-        if reg.cls is RegClass.FLAGS:
-            self.flags = int(value) & MASK64
-        elif reg.cls is RegClass.INT:
-            self.int_regs[reg.index] = int(value) & MASK64
-        else:
-            self.vec_regs[reg.index] = tuple(int(v) & MASK64 for v in value)
-
-    def _load_word(self, addr: int) -> int:
-        return self.memory.get(addr & MASK64, 0)
-
-    def _store_word(self, addr: int, value: int) -> None:
-        self.memory[addr & MASK64] = value & MASK64
-
     # -- execution -------------------------------------------------------------
+    def _execute(self, limit: int) -> List[DynamicInstruction]:
+        """Execute up to *limit* instructions, stopping after HALT; return
+        their dynamic records."""
+        records: List[DynamicInstruction] = []
+        if self.halted:
+            return records
+        append = records.append
+        decoded = self._decoded
+        size = len(decoded)
+        regs = self.regs
+        written = self.written
+        data = self.program.data
+        pc = self.pc
+        seq = self.executed
+        end = seq + limit
+        try:
+            while seq < end:
+                if not 0 <= pc < size:
+                    raise EmulationError(
+                        f"pc {pc} outside program {self.program.name!r}")
+                instr, kind, reads, dest, evaluate = decoded[pc]
+                next_pc = pc + 1
+                taken = False
+                mem_addr = None
+                result = None
+                if kind == _VALUE:
+                    result = regs[dest] = evaluate(reads(regs), instr.imm)
+                elif kind == _BRANCH:
+                    if evaluate(regs[_FLAGS_INDEX]):
+                        taken = True
+                        next_pc = instr.target
+                elif kind == _LOAD:
+                    mem_addr = (reads(regs)[0] + instr.imm) & MASK64
+                    result = written.get(mem_addr)
+                    if result is None:
+                        result = data.get(mem_addr, 0)
+                    regs[dest] = result
+                elif kind == _STORE:
+                    result, base = reads(regs)
+                    mem_addr = (base + instr.imm) & MASK64
+                    written[mem_addr] = result
+                elif kind == _JUMP:
+                    taken = True
+                    next_pc = instr.target
+                elif kind == _VLOAD:
+                    mem_addr = (reads(regs)[0] + instr.imm) & MASK64
+                    lanes = []
+                    for offset in _LANE_OFFSETS:
+                        addr = (mem_addr + offset) & MASK64
+                        value = written.get(addr)
+                        lanes.append(data.get(addr, 0) if value is None else value)
+                    result = regs[dest] = tuple(lanes)
+                elif kind == _VSTORE:
+                    result, base = reads(regs)
+                    mem_addr = (base + instr.imm) & MASK64
+                    for offset, lane in zip(_LANE_OFFSETS, result):
+                        written[(mem_addr + offset) & MASK64] = lane
+                elif kind == _CALL:
+                    taken = True
+                    result = regs[dest] = pc + 1
+                    next_pc = instr.target
+                elif kind == _INDIRECT:
+                    taken = True
+                    next_pc = reads(regs)[0]
+                elif kind == _HALT:
+                    next_pc = pc
+                    self.halted = True
+                    end = seq + 1
+                append(DynamicInstruction(seq, pc, instr, next_pc, taken,
+                                          mem_addr, False, None, result))
+                pc = next_pc
+                seq += 1
+        finally:
+            self.pc = pc
+            self.executed = seq
+        return records
+
     def step(self) -> Optional[DynamicInstruction]:
         """Execute one instruction; return its dynamic record, or ``None``
         if the machine has halted."""
-        if self.halted:
-            return None
-        instr = self.program.at(self.pc)
-        if instr is None:
-            raise EmulationError(f"pc {self.pc} outside program {self.program.name!r}")
-
-        pc = self.pc
-        op = instr.opcode
-        taken = False
-        mem_addr: Optional[int] = None
-        result = None
-        next_pc = pc + 1
-
-        if op is Opcode.HALT:
-            next_pc = pc
-        elif op is Opcode.NOP:
-            pass
-        elif op is Opcode.LD:
-            mem_addr = (self.read_reg(instr.srcs[0]) + instr.imm) & MASK64
-            result = self._load_word(mem_addr)
-        elif op is Opcode.ST:
-            mem_addr = (self.read_reg(instr.srcs[1]) + instr.imm) & MASK64
-            result = self.read_reg(instr.srcs[0])
-        elif op is Opcode.VLD:
-            mem_addr = (self.read_reg(instr.srcs[0]) + instr.imm) & MASK64
-            result = tuple(self._load_word(mem_addr + i * WORD_BYTES)
-                           for i in range(VEC_LANES))
-        elif op is Opcode.VST:
-            mem_addr = (self.read_reg(instr.srcs[1]) + instr.imm) & MASK64
-            result = self.read_reg(instr.srcs[0])
-        elif op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
-            taken = branch_taken(op, self.flags)
-            if taken:
-                next_pc = instr.target
-        elif op is Opcode.JMP:
-            taken = True
-            next_pc = instr.target
-        elif op is Opcode.CALL:
-            taken = True
-            result = pc + 1
-            next_pc = instr.target
-        elif op in (Opcode.JR, Opcode.RET):
-            taken = True
-            next_pc = self.read_reg(instr.srcs[0]) & MASK64
-        else:
-            result = compute(instr, [self.read_reg(s) for s in instr.srcs])
-
-        record = DynamicInstruction(
-            seq=self.executed,
-            pc=pc,
-            instr=instr,
-            next_pc=next_pc,
-            taken=taken,
-            mem_addr=mem_addr,
-            result=result,
-        )
-        self.commit(record)
-        return record
+        records = self._execute(1)
+        return records[0] if records else None
 
     def commit(self, record: DynamicInstruction) -> None:
         """Make *record*'s effects architectural and move past it.
 
-        The one place emulation writes state: :meth:`step` commits what
-        it just executed, and a replay commits a recorded trace's entries
-        (their ``result``) without executing anything.
+        Replays a recorded trace entry (its ``result``) without executing
+        anything; :func:`repro.pipeline.warmup.fast_forward` rebuilds the
+        architectural state this way.
         """
-        instr = record.instr
-        op = instr.opcode
-        if op is Opcode.ST:
-            self._store_word(record.mem_addr, record.result)
-        elif op is Opcode.VST:
-            for i, lane in enumerate(record.result):
-                self._store_word(record.mem_addr + i * WORD_BYTES, lane)
-        elif instr.dests:
-            self.write_reg(instr.dests[0], record.result)
-        elif op is Opcode.HALT:
+        _instr, kind, _reads, dest, _evaluate = self._decoded[record.pc]
+        if dest is not None:
+            self.regs[dest] = record.result
+        elif kind == _STORE:
+            self.written[record.mem_addr] = record.result
+        elif kind == _VSTORE:
+            written = self.written
+            mem_addr = record.mem_addr
+            for offset, lane in zip(_LANE_OFFSETS, record.result):
+                written[(mem_addr + offset) & MASK64] = lane
+        elif kind == _HALT:
             self.halted = True
         self.pc = record.next_pc
         self.executed += 1
 
     def run(self, max_instructions: int = 1_000_000) -> Trace:
         """Run until HALT or *max_instructions*; return the trace."""
-        entries = []
-        for _ in range(max_instructions):
-            record = self.step()
-            if record is None:
-                break
-            entries.append(record)
-            if record.instr.is_halt:
-                break
-        return Trace(program=self.program, entries=entries)
+        return Trace(program=self.program, entries=self._execute(max_instructions))
 
 
 def run_program(program: Program, max_instructions: int = 1_000_000) -> Trace:

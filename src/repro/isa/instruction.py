@@ -130,8 +130,9 @@ class Instruction:
 def validate_instruction(instr: Instruction) -> None:
     """Check basic operand-shape invariants; raise ValueError on violation.
 
-    The builder and assembler construct well-formed instructions, but traces
-    may be deserialized from external files, so this is exposed publicly.
+    :class:`~repro.isa.program.ProgramBuilder` runs it on every
+    instruction it emits and again at ``build``, and the assembler emits
+    through the builder, so every program is validated this way.
     """
     opcode = instr.opcode
     if instr.is_control and not instr.is_indirect and opcode is not Opcode.HALT:

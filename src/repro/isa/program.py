@@ -114,11 +114,26 @@ class ProgramBuilder:
         return self.pc
 
     def word(self, addr: int, value: int) -> None:
-        """Place a 64-bit word in the initial data image."""
+        """Place a 64-bit word in the initial data image.
+
+        Raises ValueError unless *addr* and *value* both lie in
+        ``0..2**64-1``: every register value does, so a load must not
+        bring in anything else.
+        """
+        if addr >> 64 or value >> 64:  # nonzero for negatives as well
+            raise ValueError(f"data word {value:#x} at {addr:#x} outside 0..2**64-1")
         self._data[addr] = value
 
     def words(self, addr: int, values: Sequence[int], stride: int = 8) -> None:
-        """Place consecutive words starting at *addr*."""
+        """Place consecutive words starting at *addr* (range-checked as
+        :meth:`word` does, once per call)."""
+        if values:
+            last = addr + stride * (len(values) - 1)
+            low, high = min(values), max(values)
+            if addr >> 64 or last >> 64 or low >> 64 or high >> 64:
+                raise ValueError(
+                    f"data words {low:#x}..{high:#x} at {addr:#x}..{last:#x} "
+                    f"outside 0..2**64-1")
         self._data.update(zip(count(addr, stride), values))
 
     def _emit(self, opcode: Opcode, dests=(), srcs=(), imm=0, target=None) -> int:

@@ -85,15 +85,13 @@ class MemoryHierarchy:
         self.llc = Cache("LLC", c.llc_size, c.llc_ways, c.line_bytes, c.llc_latency)
         self.dram = DramModel(latency=c.dram_latency)
         self.prefetcher = CompositePrefetcher(line_bytes=c.line_bytes) if c.enable_prefetch else None
+        self._line_bytes = c.line_bytes
         # MSHR: block -> completion cycle of the outstanding fill
         self._mshr: Dict[int, int] = {}
         self.mshr_merges = 0
         self.mshr_stalls = 0
 
     # -- internals -------------------------------------------------------------
-    def _block(self, addr: int) -> int:
-        return addr // self.config.line_bytes
-
     def _reap_mshr(self, cycle: int) -> None:
         done = [b for b, when in self._mshr.items() if when <= cycle]
         for b in done:
@@ -101,9 +99,9 @@ class MemoryHierarchy:
 
     def _miss_path(self, cycle: int, addr: int, l1: Cache, is_write: bool) -> int:
         """Latency (beyond L1 access) of filling *addr* from L2/LLC/DRAM."""
-        if self.l2.lookup(addr, is_write=False):
+        if self.l2.lookup(addr, False):
             latency = self.l2.latency
-        elif self.llc.lookup(addr, is_write=False):
+        elif self.llc.lookup(addr, False):
             latency = self.llc.latency
             self.l2.fill(addr)
         else:
@@ -116,31 +114,34 @@ class MemoryHierarchy:
         return latency
 
     def _access(self, cycle: int, addr: int, l1: Cache, is_write: bool, pc: int) -> int:
-        self._reap_mshr(cycle)
-        block = self._block(addr)
-        if l1.lookup(addr, is_write=is_write):
+        mshr = self._mshr
+        if mshr:
+            self._reap_mshr(cycle)
+        block = addr // self._line_bytes
+        if l1.lookup(addr, is_write):
             # Fill-at-access installs lines immediately; an MSHR entry for
             # the block means the data is still in flight, so a "hit" on
             # it cannot complete before the fill arrives.
-            pending = self._mshr.get(block, 0)
+            pending = mshr.get(block, 0)
             if pending > cycle + l1.latency:
                 self.mshr_merges += 1
             completion = max(cycle + l1.latency, pending)
         else:
-            if block in self._mshr:
+            pending = mshr.get(block)
+            if pending is not None:
                 self.mshr_merges += 1
-                completion = max(self._mshr[block], cycle + l1.latency)
+                completion = max(pending, cycle + l1.latency)
             else:
                 extra = 0
-                if len(self._mshr) >= self.config.mshr_entries:
+                if len(mshr) >= self.config.mshr_entries:
                     # MSHR full: serialize behind the oldest outstanding miss.
                     self.mshr_stalls += 1
-                    oldest = min(self._mshr.values())
+                    oldest = min(mshr.values())
                     extra = max(0, oldest - cycle)
                 latency = self._miss_path(cycle, addr, l1, is_write)
                 completion = cycle + l1.latency + latency + extra
-                self._mshr[block] = completion
-        if self.prefetcher is not None and l1 is self.l1d:
+                mshr[block] = completion
+        if l1 is self.l1d and self.prefetcher is not None:
             for pf_addr in self.prefetcher.observe(addr, pc):
                 self._prefetch(pf_addr, cycle)
         return completion
@@ -153,8 +154,8 @@ class MemoryHierarchy:
         access arriving before the data does merges and pays the
         remaining latency instead of hitting instantly.
         """
-        block = self._block(addr)
-        if self.l2.contains(addr) or block in self._mshr:
+        block = addr // self._line_bytes
+        if block in self._mshr or self.l2.contains(addr):
             return
         if self.llc.lookup(addr, is_write=False, update_stats=False):
             latency = self.llc.latency

@@ -81,11 +81,11 @@ class CompositePrefetcher:
         ]
 
     def observe(self, addr: int, pc: int) -> List[int]:
-        seen = set()
+        # At most five candidates: a list scan de-duplicates them without
+        # building a set per access.
         out: List[int] = []
         for part in self.parts:
             for candidate in part.observe(addr, pc):
-                if candidate not in seen:
-                    seen.add(candidate)
+                if candidate not in out:
                     out.append(candidate)
         return out

@@ -56,6 +56,7 @@ class ExecuteUnit:
         self.stores = state.stores
         self.store_order = state.store_order
         self.mem_values = state.mem_values
+        self.data = state.trace.program.data
 
     def dispatch(self, entry: ROBEntry, cycle: int) -> int:
         """Perform the execution side effects; returns the latency.
@@ -111,7 +112,9 @@ class ExecuteUnit:
                 word_addr = addr + i * WORD
                 value = forwarded.get(word_addr)
                 if value is None:
-                    value = self.mem_values.get(word_addr, 0)
+                    value = self.mem_values.get(word_addr)
+                if value is None:
+                    value = self.data.get(word_addr, 0)
                 lanes.append(value)
             self.results[entry.seq] = tuple(lanes) if is_vector else lanes[0]
         if not is_vector and len(forwarded) == word_count:

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..branch import BranchUnit, Prediction
-from ..frontend import ArchState, DynamicInstruction, Trace, WrongPathSupplier, canonical_memory
+from ..frontend import (
+    ArchState,
+    DynamicInstruction,
+    Trace,
+    WrongPathSupplier,
+    canonical_memory,
+    memory_image,
+)
 from ..isa import FLAGS, I_BYTES, Opcode, Program, RegClass, ireg, vreg
 from ..memory import MemoryHierarchy
 from ..rename import CheckpointPool, RenameUnit
@@ -117,7 +124,9 @@ class PipelineState:
     store_words: Dict[int, List[int]] = field(default_factory=dict)
     results: Dict[int, object] = field(default_factory=dict)
 
-    # Value execution
+    # Value execution.  ``mem_values`` holds the words committed since
+    # reset; loads fall back to ``trace.program.data``, which is shared
+    # and never written.
     values: Dict[RegClass, list] = field(default_factory=dict)
     mem_values: Dict[int, int] = field(default_factory=dict)
 
@@ -152,7 +161,11 @@ class PipelineState:
 
     # -- architectural queries ---------------------------------------------------
     def architectural_state(self) -> ArchState:
-        """Committed architectural state (requires value execution)."""
+        """Committed architectural state (requires value execution).
+
+        Builds the full memory image (the data image overlaid by the
+        committed stores) for comparison; the simulation never calls it.
+        """
         if not self.config.execute_values:
             raise RuntimeError("architectural_state requires execute_values=True")
         unit = self.rename_unit
@@ -166,7 +179,8 @@ class PipelineState:
             flags=int_values[int_rat.read(FLAGS.srt_slot)],
             # Canonical form (zero words dropped) — the same helper the
             # golden-model comparisons apply to the emulator's state.
-            memory=canonical_memory(self.mem_values),
+            memory=canonical_memory(memory_image(self.trace.program.data,
+                                                 self.mem_values)),
         )
 
     def check_conservation(self) -> None:
@@ -201,12 +215,12 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
     """Construct the machine state for one run (scheme already built).
 
     A cold core builds a fresh predictor and caches (icache pre-warmed)
-    and copies the program's data image.  A core seeded from a
-    :class:`~.warmup.WarmupState` instead adopts the checkpoint's
-    predictor, caches and memory image, which then belong to this core
-    alone (a second use of the checkpoint raises), and primes the
-    architectural registers through the initial RAT mapping, so the
-    window's value execution continues exactly from the prefix.
+    and starts with no written words over the program's data image.  A
+    core seeded from a :class:`~.warmup.WarmupState` instead adopts the
+    checkpoint's predictor, caches and written words, which then belong
+    to this core alone (a second use of the checkpoint raises), and
+    primes the architectural registers through the initial RAT mapping,
+    so the window's value execution continues exactly from the prefix.
     """
     rename_unit = RenameUnit(
         int_size=config.int_rf_size,
@@ -216,23 +230,21 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
     )
     scheme.attach(rename_unit)
 
-    int_values = [0] * config.int_rf_size
-    vec_values = [(0, 0, 0, 0)] * config.vec_rf_size
+    values = {RegClass.INT: [0] * config.int_rf_size,
+              RegClass.VEC: [(0, 0, 0, 0)] * config.vec_rf_size}
     if warmup is None:
         from .stages.fetch import make_predictor
         branch_unit = BranchUnit(direction=make_predictor(config.predictor))
         memory = MemoryHierarchy(config.memory)
         prewarm_code_image(config, memory, trace.program)
-        mem_values = dict(trace.program.data)
+        mem_values: Dict[int, int] = {}
     else:
-        branch_unit, memory, arch = warmup.take()
-        mem_values = arch.memory
-        int_rat = rename_unit.files[RegClass.INT].rat
-        vec_rat = rename_unit.files[RegClass.VEC].rat
-        for i in range(16):
-            int_values[int_rat.read(ireg(i).srt_slot)] = arch.int_regs[i]
-            vec_values[vec_rat.read(vreg(i).srt_slot)] = arch.vec_regs[i]
-        int_values[int_rat.read(FLAGS.srt_slot)] = arch.flags
+        branch_unit, memory, mem_values = warmup.take()
+        for file, arch_values in warmup.regs.items():
+            rat = rename_unit.files[file].rat
+            file_values = values[file]
+            for slot, value in enumerate(arch_values):
+                file_values[rat.read(slot)] = value
 
     return PipelineState(
         config=config,
@@ -249,6 +261,6 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
             RegClass.INT: [True] * config.int_rf_size,
             RegClass.VEC: [True] * config.vec_rf_size,
         },
-        values={RegClass.INT: int_values, RegClass.VEC: vec_values},
+        values=values,
         mem_values=mem_values,
     )

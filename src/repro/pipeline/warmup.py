@@ -19,11 +19,12 @@ entry's pc, direction, target, address and committed result.
   instruction index as a pseudo-cycle so MSHR merging and DRAM row state
   evolve plausibly; snapshots clear the MSHR file (all fills have
   logically arrived by the window boundary);
-* **architectural state** — registers, FLAGS, and memory rebuilt by
-  committing each entry's recorded ``result`` into an
-  :class:`~repro.frontend.Emulator` that executes nothing, installed
-  through the initial RAT so the window's value execution and
-  end-of-window architectural comparison see the prefix's effects.
+* **architectural state** — registers, FLAGS, and the words stored
+  since reset, rebuilt by committing each entry's recorded ``result``
+  into an :class:`~repro.frontend.Emulator` that executes nothing, and
+  installed through the initial RAT so the window's value execution and
+  end-of-window architectural comparison see the prefix's effects.  The
+  program's data image stays shared underneath: no checkpoint copies it.
 
 What is deliberately **not** primed: ROB/queue occupancy, in-flight
 instructions, rename state beyond the architectural mapping, and store
@@ -36,11 +37,11 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..branch import BranchUnit
-from ..frontend import ArchState, Emulator, Trace
-from ..isa import I_BYTES
+from ..frontend import ArchState, Emulator, Trace, memory_image
+from ..isa import FLAGS, I_BYTES, NUM_INT_REGS, RegClass
 from ..memory import MemoryHierarchy
 from .config import CoreConfig
 from .state import prewarm_code_image
@@ -58,24 +59,46 @@ def _clone(obj):
 class WarmupState:
     """Primed state at one fast-forward stop.
 
-    A checkpoint seeds exactly one detailed core: the core adopts its
-    predictor, caches and architectural state (:meth:`take` leaves
-    ``None`` here), and a second use raises.
+    The architectural state is the registers plus the words written
+    since reset; the program's data image underneath is shared, never
+    copied and never written.  A checkpoint seeds exactly one detailed
+    core: the core adopts its predictor, caches and written words
+    (:meth:`take` leaves ``None`` here), and a second use raises.
     """
 
     instructions: int  #: prefix length executed before this stop
-    arch: Optional[ArchState]
+    data: Dict[int, int]  #: the program's data image (shared, read-only)
+    #: Register values per file in SRT-slot order (FLAGS is int slot 16).
+    regs: Dict[RegClass, Tuple]
+    written: Optional[Dict[int, int]]  #: words stored since reset
     branch_unit: Optional[BranchUnit]
     memory: Optional[MemoryHierarchy]
 
-    def take(self) -> Tuple[BranchUnit, MemoryHierarchy, ArchState]:
-        """Hand the predictor, caches and architectural state to one core."""
+    def _check_unused(self) -> None:
         if self.branch_unit is None:
             raise RuntimeError(
                 f"warmup checkpoint at instruction {self.instructions} "
                 f"already seeded a core")
-        state = (self.branch_unit, self.memory, self.arch)
-        self.branch_unit = self.memory = self.arch = None
+
+    @property
+    def arch(self) -> ArchState:
+        """The full architectural state, data image included.
+
+        Built on demand for comparisons; nothing on the simulation path
+        reads it.
+        """
+        self._check_unused()
+        int_regs = self.regs[RegClass.INT]
+        return ArchState(int_regs=tuple(int_regs[:NUM_INT_REGS]),
+                         vec_regs=tuple(self.regs[RegClass.VEC]),
+                         flags=int_regs[FLAGS.srt_slot],
+                         memory=memory_image(self.data, self.written))
+
+    def take(self) -> Tuple[BranchUnit, MemoryHierarchy, Dict[int, int]]:
+        """Hand the predictor, caches and written words to one core."""
+        self._check_unused()
+        state = (self.branch_unit, self.memory, self.written)
+        self.branch_unit = self.memory = self.written = None
         return state
 
 
@@ -85,7 +108,9 @@ def fast_forward(config: CoreConfig, trace: Trace,
 
     Each stop is an instruction count (0 = cold start); stops are
     deduplicated and visited in ascending order, so a multi-window tiered
-    run pays one pass over the prefix regardless of window count.
+    run pays one pass over the prefix regardless of window count.  Every
+    stop but the last gets a copy of the predictor, caches and written
+    words; the last stop takes the live ones, since the pass ends there.
     """
     from .stages.fetch import make_predictor
 
@@ -103,41 +128,52 @@ def fast_forward(config: CoreConfig, trace: Trace,
     # Executes nothing: it only commits each entry's recorded result.
     arch = Emulator(trace.program)
     commit = arch.commit
+    predict, resolve = branch_unit.predict, branch_unit.resolve
+    fetch, load, store = memory.fetch, memory.load, memory.store
     model_icache = config.model_icache
     ft_block_bytes = config.ft_block_bytes
     last_fetch_block = -1
     executed = 0
     snapshots: List[WarmupState] = []
     for stop in ordered:
-        for index, record in enumerate(entries[executed:stop], executed):
+        for index in range(executed, stop):
+            record = entries[index]
             commit(record)
+            pc = record.pc
             instr = record.instr
             if model_icache:
-                block = (record.pc * I_BYTES) // ft_block_bytes
+                block = (pc * I_BYTES) // ft_block_bytes
                 if block != last_fetch_block:
-                    memory.fetch(index, record.pc * I_BYTES)
+                    fetch(index, pc * I_BYTES)
                     last_fetch_block = block
                 if record.taken:
                     last_fetch_block = -1
             if instr.is_control and not instr.is_halt:
-                prediction = branch_unit.predict(record.pc, instr)
-                branch_unit.resolve(record.pc, instr, prediction,
-                                    record.taken, record.next_pc)
-            if record.mem_addr is not None:
+                resolve(pc, instr, predict(pc, instr), record.taken,
+                        record.next_pc)
+            mem_addr = record.mem_addr
+            if mem_addr is not None:
                 if instr.is_load:
-                    memory.load(index, record.mem_addr, pc=record.pc)
+                    load(index, mem_addr, pc)
                 elif instr.is_store:
-                    memory.store(index, record.mem_addr, pc=record.pc)
+                    store(index, mem_addr, pc)
         executed = stop
-        warm_memory = _clone(memory)
+        if stop == ordered[-1]:
+            warm_branch_unit, warm_memory = branch_unit, memory
+            written = arch.written
+        else:
+            warm_branch_unit, warm_memory = _clone(branch_unit), _clone(memory)
+            written = dict(arch.written)
         # Pseudo-time ends at the window boundary: every outstanding fill
         # has logically arrived, so the detailed window (which restarts
         # the clock at 0) must not inherit pseudo-cycle completion times.
         warm_memory._mshr.clear()
         snapshots.append(WarmupState(
             instructions=executed,
-            arch=arch.snapshot(),
-            branch_unit=_clone(branch_unit),
+            data=trace.program.data,
+            regs=arch.registers(),
+            written=written,
+            branch_unit=warm_branch_unit,
             memory=warm_memory,
         ))
     return snapshots

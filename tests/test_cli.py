@@ -47,6 +47,14 @@ def test_run_config_preset_composes_with_rf_override(capsys):
     assert "@ 72 regs" in capsys.readouterr().out
 
 
+def test_run_tiered(capsys):
+    assert main(["run", "mcf", "--tier", "tiered", "-n", "6000",
+                 "--interval", "1000", "--windows", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "tiered estimate" in out and "of 6000 represented" in out
+    assert 1 <= out.count("window @") <= 3
+
+
 def test_disasm(capsys):
     assert main(["disasm", "xz"]) == 0
     out = capsys.readouterr().out

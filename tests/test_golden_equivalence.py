@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.frontend import final_state, run_program
-from repro.isa import assemble
+from repro.isa import AssemblyError, assemble
 from repro.pipeline import Core, fast_test_config
 from repro.rename.schemes import SCHEME_NAMES
 from repro.workloads import PROFILES, synthesize
@@ -89,3 +89,15 @@ def test_kernel_slice(scheme):
 
     program = builder_for("531.deepsjeng_r")(iterations=12)
     _check(program, fast_test_config(rf_size=28, scheme=scheme))
+
+
+@pytest.mark.parametrize("value", ["-1", "0x1FFFFFFFFFFFFFFFF"])
+def test_data_word_outside_64_bits_is_an_assembly_error(value):
+    """A register holds 0..2**64-1, so a data word outside that range
+    would load differently into the emulator, which kept registers in
+    range, and the cycle core, which loads the raw word: the golden
+    comparison read ``r2: -0x1 != 0xffffffffffffffff``.  The builder
+    rejects such words instead."""
+    source = f".word 512 {value}\nmovi r1, 512\nld r2, r1, 0\nhalt"
+    with pytest.raises(AssemblyError, match="line 1"):
+        assemble(source)

@@ -84,6 +84,30 @@ class TestBuilder:
         assert prog.data[0x110] == 9
         assert prog.data[0x200] == 42
 
+    def test_data_words_span_the_64_bit_range(self):
+        top = (1 << 64) - 1
+        b = ProgramBuilder()
+        b.word(0, top)
+        b.word(top, 0)
+        b.words(top - 8, [0, top])
+        b.words(0x300, [])
+        assert b.build().data == {0: top, top - 8: 0, top: top}
+
+    @pytest.mark.parametrize("addr, value", [
+        (0x100, -1), (0x100, 1 << 64), (-8, 1), (1 << 64, 1)])
+    def test_word_outside_64_bits_rejected(self, addr, value):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            ProgramBuilder().word(addr, value)
+
+    @pytest.mark.parametrize("addr, values", [
+        (0x100, [1, -1, 2]), (0x100, [1, 1 << 64]), (-8, [1]),
+        ((1 << 64) - 8, [1, 2])])
+    def test_words_outside_64_bits_rejected(self, addr, values):
+        b = ProgramBuilder()
+        with pytest.raises(ValueError, match="outside 0..2"):
+            b.words(addr, values)
+        assert b.build().data == {}
+
     def test_label_attaches_to_next_instruction(self):
         b = ProgramBuilder()
         b.nop()

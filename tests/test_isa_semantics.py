@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.isa import Instruction, Opcode, ireg, vreg, FLAGS
+from repro.isa.registers import VEC_LANES
 from repro.isa.semantics import (
+    EVALUATORS,
     FLAG_SIGN,
     FLAG_ZERO,
     MASK64,
@@ -156,3 +158,100 @@ def test_flags_for_cases():
     assert flags_for(0) == FLAG_ZERO
     assert flags_for(-4) == FLAG_SIGN
     assert flags_for(4) == 0
+
+
+# -- the evaluator table against the if-chain it replaced -----------------------
+
+def _reference_compute(instr, srcs):
+    """The opcode if-chain ``compute`` was before the evaluator table,
+    kept as the reference model."""
+    op = instr.opcode
+    if op is Opcode.MOVI:
+        return instr.imm & MASK64
+    if op is Opcode.MOV:
+        return srcs[0]
+    if op is Opcode.ADD:
+        return (srcs[0] + srcs[1]) & MASK64
+    if op is Opcode.SUB:
+        return (srcs[0] - srcs[1]) & MASK64
+    if op is Opcode.AND:
+        return srcs[0] & srcs[1]
+    if op is Opcode.OR:
+        return srcs[0] | srcs[1]
+    if op is Opcode.XOR:
+        return srcs[0] ^ srcs[1]
+    if op is Opcode.MUL:
+        return (srcs[0] * srcs[1]) & MASK64
+    if op is Opcode.DIV:
+        return (srcs[0] // srcs[1]) & MASK64 if srcs[1] else 0
+    if op is Opcode.MOD:
+        return (srcs[0] % srcs[1]) & MASK64 if srcs[1] else 0
+    if op is Opcode.SHL:
+        return (srcs[0] << (instr.imm & 63)) & MASK64
+    if op is Opcode.SHR:
+        return (srcs[0] & MASK64) >> (instr.imm & 63)
+    if op is Opcode.NOT:
+        return ~srcs[0] & MASK64
+    if op is Opcode.NEG:
+        return -srcs[0] & MASK64
+    if op is Opcode.LEA:
+        return (srcs[0] + instr.imm) & MASK64
+    if op is Opcode.CMP:
+        return flags_for(to_signed(srcs[0]) - to_signed(srcs[1]))
+    if op is Opcode.TEST:
+        return flags_for(to_signed(srcs[0] & srcs[1]))
+    if op is Opcode.SELECT:
+        return srcs[1] if srcs[0] & FLAG_ZERO else srcs[2]
+    if op is Opcode.VADD:
+        return tuple((x + y) & MASK64 for x, y in zip(srcs[0], srcs[1]))
+    if op is Opcode.VSUB:
+        return tuple((x - y) & MASK64 for x, y in zip(srcs[0], srcs[1]))
+    if op is Opcode.VMUL:
+        return tuple((x * y) & MASK64 for x, y in zip(srcs[0], srcs[1]))
+    if op is Opcode.VDIV:
+        return tuple((x // y) & MASK64 if y else 0 for x, y in zip(srcs[0], srcs[1]))
+    if op is Opcode.VFMA:
+        return tuple((x * y + z) & MASK64 for x, y, z in zip(srcs[0], srcs[1], srcs[2]))
+    if op is Opcode.VBROADCAST:
+        return (srcs[0] & MASK64,) * VEC_LANES
+    if op is Opcode.VREDUCE:
+        return sum(srcs[0]) & MASK64
+    raise ValueError(f"compute() does not handle {op}")
+
+
+#: Operand shapes per value opcode: "s" a scalar, "v" a vector of lanes.
+_OPERANDS = {
+    Opcode.MOVI: "", Opcode.MOV: "s", Opcode.ADD: "ss", Opcode.SUB: "ss",
+    Opcode.AND: "ss", Opcode.OR: "ss", Opcode.XOR: "ss", Opcode.MUL: "ss",
+    Opcode.DIV: "ss", Opcode.MOD: "ss", Opcode.SHL: "s", Opcode.SHR: "s",
+    Opcode.NOT: "s", Opcode.NEG: "s", Opcode.LEA: "s", Opcode.CMP: "ss",
+    Opcode.TEST: "ss", Opcode.SELECT: "sss", Opcode.VADD: "vv",
+    Opcode.VSUB: "vv", Opcode.VMUL: "vv", Opcode.VDIV: "vv",
+    Opcode.VFMA: "vvv", Opcode.VBROADCAST: "s", Opcode.VREDUCE: "v",
+}
+#: Word edges, zero (division and modulo by zero) among them.
+_EDGES = (0, 1, (1 << 63) - 1, 1 << 63, MASK64)
+_word = st.one_of(st.sampled_from(_EDGES), u64)
+_operand = {"s": _word, "v": st.tuples(*[_word] * VEC_LANES)}
+#: Shift amounts of 64 and beyond, negative displacements, wide immediates.
+_imm = st.one_of(st.sampled_from((0, 1, 63, 64, 65, 127, 128, 1000, -1, -8)),
+                 st.integers(min_value=-(1 << 65), max_value=1 << 65))
+
+
+def test_every_value_opcode_has_one_evaluator():
+    assert set(EVALUATORS) == set(_OPERANDS)
+    assert len(EVALUATORS) == 25
+
+
+@pytest.mark.parametrize("opcode", sorted(_OPERANDS, key=lambda op: op.value))
+@given(data=st.data())
+def test_compute_matches_the_reference_chain(opcode, data):
+    shape = _OPERANDS[opcode]
+    srcs = [data.draw(_operand[kind]) for kind in shape]
+    imm = data.draw(_imm)
+    instr = Instruction(opcode, dests=(ireg(0),),
+                        srcs=tuple(ireg(i + 1) for i in range(len(shape))),
+                        imm=imm)
+    expected = _reference_compute(instr, srcs)
+    assert compute(instr, srcs) == expected
+    assert compute(instr, tuple(srcs)) == expected

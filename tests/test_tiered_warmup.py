@@ -9,10 +9,12 @@ warmup primed the core wrongly, one of the two comparisons exposes it.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from repro.frontend import Trace
 from repro.frontend.emulator import Emulator
 from repro.harness import (
     CellSpec,
@@ -25,7 +27,7 @@ from repro.harness import (
 from repro.pipeline import Core, fast_test_config
 from repro.pipeline.warmup import fast_forward
 from repro.tiered import run_tiered
-from repro.workloads import ALL_BENCHMARKS, build_trace
+from repro.workloads import ALL_BENCHMARKS, build_trace, workload_for
 from repro.workloads.simpoint import SimPoint, slice_trace
 
 
@@ -118,6 +120,50 @@ def test_warm_cores_adopt_the_fast_forward_state(monkeypatch):
     _, _, info = run_tiered(config, trace, interval=1000, max_windows=3)
     assert len(info["windows"]) == 3
     assert built == {"tage": 1, "memory": 1}
+
+
+def _allocated(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated (tracemalloc)."""
+    baseline = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    value = fn(*args)
+    return value, tracemalloc.get_traced_memory()[1] - baseline
+
+
+@pytest.mark.parametrize("kernel", ["503.bwaves_r", "520.omnetpp_r"])
+def test_no_emulator_core_or_checkpoint_copies_the_data_image(kernel):
+    """bwaves' data image is half a million words, omnetpp's a quarter
+    million.  Fast-forwarding to six stops and building a cold core must
+    each allocate less than one copy of it, and emulating,
+    fast-forwarding and running cores must leave the shared image exactly
+    as the builder made it (bwaves stores vectors, omnetpp scalars)."""
+    n = 12_000
+    entry, variant = workload_for(kernel)
+    program = entry.build(n, variant=variant)
+    image = dict(program.data)
+    trace = Emulator(program).run(max_instructions=n)
+    assert program.data == image
+    config = fast_test_config(rf_size=64, scheme="atr")
+    stops = [0, 2000, 4000, 6000, 8000, 10_000]
+
+    tracemalloc.start()
+    try:
+        one_copy = _allocated(dict, program.data)[1]
+        warm, forwarding = _allocated(fast_forward, config, trace, stops)
+        cold, building = _allocated(Core, config, trace)
+    finally:
+        tracemalloc.stop()
+    assert forwarding < one_copy, (forwarding, one_copy)
+    assert building < one_copy, (building, one_copy)
+    assert program.data == image
+
+    window = SimPoint(interval_index=0, start=10_000, length=n - 10_000,
+                      weight=1.0, cluster=0)
+    Core(config, slice_trace(trace, window), warmup=warm[-1]).run()
+    assert program.data == image
+    del cold
+    Core(config, Trace(program=program, entries=trace.entries[:2000])).run()
+    assert program.data == image
 
 
 #: Every SimStats and SchemeStats field and each window's cycles of four
