@@ -279,7 +279,7 @@ class Emulator:
                     self.halted = True
                     end = seq + 1
                 append(DynamicInstruction(seq, pc, instr, next_pc, taken,
-                                          mem_addr, False, None, result))
+                                          mem_addr, result))
                 pc = next_pc
                 seq += 1
         finally:

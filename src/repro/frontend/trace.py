@@ -32,14 +32,11 @@ class DynamicInstruction:
     to the destination register, or the word (``st``) or lanes (``vst``)
     stored; ``None`` when the instruction writes nothing.  Only functional
     replay (:func:`repro.pipeline.warmup.fast_forward`) reads it — the
-    cycle core computes its own values, and its fetch stage copies entries
-    without it.  ``wrong_path`` marks instructions the simulator
-    fabricated while fetching down a mispredicted path; they never appear
-    in traces.
+    cycle core computes its own values, and its fetch stage builds each
+    in-flight entry from the other fields.
     """
 
-    __slots__ = ("seq", "trace_seq", "pc", "instr", "next_pc", "taken", "mem_addr",
-                 "result", "wrong_path")
+    __slots__ = ("seq", "pc", "instr", "next_pc", "taken", "mem_addr", "result")
 
     def __init__(
         self,
@@ -49,25 +46,18 @@ class DynamicInstruction:
         next_pc: int,
         taken: bool = False,
         mem_addr: Optional[int] = None,
-        wrong_path: bool = False,
-        trace_seq: Optional[int] = None,
         result=None,
     ):
         self.seq = seq
-        # Position in the stored trace (age on the correct path); -1 for
-        # wrong-path instructions.  Defaults to seq for trace entries.
-        self.trace_seq = seq if trace_seq is None else trace_seq
         self.pc = pc
         self.instr = instr
         self.next_pc = next_pc
         self.taken = taken
         self.mem_addr = mem_addr
         self.result = result
-        self.wrong_path = wrong_path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        wp = " WP" if self.wrong_path else ""
-        return f"<#{self.seq}{wp} pc={self.pc} {self.instr.render()} -> {self.next_pc}>"
+        return f"<#{self.seq} pc={self.pc} {self.instr.render()} -> {self.next_pc}>"
 
 
 @dataclass

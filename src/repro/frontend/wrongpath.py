@@ -5,8 +5,8 @@ at the predicted target; those wrong-path instructions are decoded, renamed
 (allocating physical registers!) and executed until the branch resolves and
 the pipeline flushes.  ATR's safety argument is precisely about this
 situation, so the simulator models it faithfully: this module decodes the
-static program image at an arbitrary PC and fabricates dynamic records for
-the speculative stream.
+static program image at an arbitrary PC and supplies what the fetch stage
+needs to build an in-flight entry for the speculative stream.
 
 Design notes:
 
@@ -23,10 +23,9 @@ Design notes:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
-from ..isa import Program
-from .trace import DynamicInstruction
+from ..isa import Instruction, Program
 
 _MASK64 = (1 << 64) - 1
 
@@ -42,17 +41,21 @@ def _pseudo_address(pc: int, seq: int) -> int:
 
 
 class WrongPathSupplier:
-    """Fabricates wrong-path dynamic instructions from the static image."""
+    """Decodes wrong-path instructions from the static image."""
 
     def __init__(self, program: Program):
         self.program = program
         self.supplied = 0
 
-    def fetch(self, pc: int, seq: int) -> Optional[DynamicInstruction]:
-        """A wrong-path dynamic record for the instruction at *pc*.
+    def fetch(self, pc: int, seq: int
+              ) -> Optional[Tuple[Instruction, int, Optional[int]]]:
+        """``(instr, next_pc, mem_addr)`` for the instruction at *pc*,
+        fetched as dynamic instruction *seq*.
 
         Returns ``None`` when *pc* lies outside the program image; the
         fetch unit treats that as a stall until the flush arrives.
+        Conditional branches are reported not taken: the fetch unit
+        follows the prediction.
         """
         instr = self.program.at(pc)
         if instr is None or instr.is_halt:
@@ -61,18 +64,9 @@ class WrongPathSupplier:
         mem_addr = _pseudo_address(pc, seq) if instr.is_memory else None
         # Direct unconditional control flow still has a known target on the
         # wrong path; conditional direction and indirect targets are the
-        # predictor's call (the record carries the fall-through).
+        # predictor's call (next_pc is the fall-through).
         if instr.is_control and not instr.is_conditional_branch and instr.target is not None:
             next_pc = instr.target
         else:
             next_pc = pc + 1
-        return DynamicInstruction(
-            seq=seq,
-            pc=pc,
-            instr=instr,
-            next_pc=next_pc,
-            taken=False,
-            mem_addr=mem_addr,
-            wrong_path=True,
-            trace_seq=-1,
-        )
+        return instr, next_pc, mem_addr

@@ -18,7 +18,7 @@ from .probes import (
     RegisterEventProbe,
 )
 from .rob import ROBEntry, ReorderBuffer
-from .state import FetchedInstr, PipelineState, StoreRecord, build_state
+from .state import PipelineState, StoreRecord, build_state
 from .stats import RegisterEventLog, RegisterLifetime, SimStats
 from .warmup import WarmupState, fast_forward
 
@@ -29,7 +29,7 @@ __all__ = [
     "InterruptController", "InterruptStats",
     "ReorderBuffer", "ROBEntry",
     "SimStats", "RegisterEventLog", "RegisterLifetime",
-    "PipelineState", "FetchedInstr", "StoreRecord", "build_state",
+    "PipelineState", "StoreRecord", "build_state",
     "Probe", "ProbeManager", "RecordingProbe", "RegisterEventProbe",
     "PROBE_EVENTS", "PHASE_ORDER",
     "WarmupState", "fast_forward",

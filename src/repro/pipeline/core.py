@@ -321,7 +321,7 @@ class Core:
             if ready <= cycle + 1:
                 # The frontend head is (or will be) renameable; skipping
                 # is only sound while a structural limit blocks it.
-                instr = fetch_queue[fq_head].dyn.instr
+                instr = fetch_queue[fq_head].instr
                 if not (rob.is_full
                         or state.rs_used >= self._rs_size
                         or (instr.is_load and state.lq_used >= self._lq_size)
@@ -362,7 +362,7 @@ class Core:
             return
         if fetch_queue[fq_head].ready_cycle > state.cycle + 1:
             return  # head still in the frontend pipeline: no stall charged
-        instr = fetch_queue[fq_head].dyn.instr
+        instr = fetch_queue[fq_head].instr
         if state.rob.is_full:
             stats.stall_rob += skipped
         elif state.rs_used >= self._rs_size:

@@ -17,7 +17,7 @@ Probe event table (see DESIGN.md, "Pipeline architecture"):
 event              emitted                                       payload
 =================  ============================================  =========================
 phase              start of each per-cycle phase                 phase name, cycle
-fetch              instruction entered the fetch queue           FetchedInstr, cycle
+fetch              instruction entered the fetch queue           ROBEntry, cycle
 rename_stall       rename blocked this cycle                     cause, cycle
 rename_sources     after SRT source lookup, before allocation    ROBEntry, cycle
 allocate           after destination allocation                  ROBEntry, cycle
@@ -33,7 +33,9 @@ cycle_end          all phases of the cycle ran                   cycle
 =================  ============================================  =========================
 
 ``rename_stall`` causes: ``empty``, ``rob``, ``rs``, ``lq``, ``sq``,
-``freelist``.  ``flush`` kinds: ``branch``, ``interrupt``.
+``freelist``.  ``flush`` kinds: ``branch``, ``interrupt``.  Every
+per-instruction event carries the same :class:`~repro.pipeline.rob.ROBEntry`
+object from ``fetch`` to ``commit`` or ``flush``.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class Probe:
     def on_phase(self, name: str, cycle: int) -> None:
         pass
 
-    def on_fetch(self, fetched, cycle: int) -> None:
+    def on_fetch(self, entry, cycle: int) -> None:
         pass
 
     def on_rename_stall(self, cause: str, cycle: int) -> None:
@@ -170,7 +172,7 @@ class RegisterEventProbe(Probe):
 
     def on_allocate(self, entry, cycle: int) -> None:
         log = self.log
-        trace_seq = entry.dyn.trace_seq
+        trace_seq = entry.trace_seq
         wrong_path = entry.wrong_path
         for record in entry.dests:
             log.on_allocate(record.file, record.new_ptag, trace_seq, cycle,
@@ -209,8 +211,8 @@ class RecordingProbe(Probe):
     def on_phase(self, name, cycle):
         self.events.append(("phase", cycle, name))
 
-    def on_fetch(self, fetched, cycle):
-        self.events.append(("fetch", cycle, fetched.dyn.seq))
+    def on_fetch(self, entry, cycle):
+        self.events.append(("fetch", cycle, entry.seq))
 
     def on_rename_stall(self, cause, cycle):
         self.events.append(("rename_stall", cycle, cause))

@@ -5,6 +5,10 @@ head, the precommit pointer advances through the middle, and a flush cuts
 the tail.  Implemented as a Python list with an explicit head index and
 periodic compaction (O(1) amortized for every operation the core
 performs per cycle).
+
+A :class:`ROBEntry` is the one record of an in-flight instruction: fetch
+builds it, it waits in the fetch queue, rename fills in its rename fields
+and appends the same object here, and it leaves at commit or flush.
 """
 
 from __future__ import annotations
@@ -12,23 +16,39 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from ..branch import Prediction
-from ..frontend import DynamicInstruction
-from ..rename import DestRecord
+from ..isa import Instruction
 
 _NO_CYCLE = -1
 
 
 class ROBEntry:
-    """One in-flight instruction."""
+    """One in-flight instruction, from fetch to commit or squash.
+
+    ``seq`` is the dynamic sequence number (age order).  ``trace_seq`` is
+    the trace position of a correct-path instruction and -1 on the wrong
+    path.  ``pc``, ``instr``, ``next_pc``, ``taken`` and ``mem_addr`` are
+    copied from the trace entry (or the wrong-path supplier); the
+    committed value is never copied — the core computes its own.
+    ``ready_cycle`` is when the entry leaves the frontend pipeline.
+    """
 
     __slots__ = (
+        # Fetch
         "seq",
-        "dyn",
+        "trace_seq",
+        "pc",
+        "instr",
+        "next_pc",
+        "taken",
+        "mem_addr",
         "wrong_path",
-        "dests",
-        "src_ptags",
+        "ready_cycle",
+        "cycle_fetch",
         "prediction",
         "mispredicted",
+        # Rename onwards
+        "dests",
+        "src_ptags",
         "issued",
         "completed",
         "resolved",
@@ -36,7 +56,6 @@ class ROBEntry:
         "committed",
         "squashed",
         "unready_sources",
-        "cycle_fetch",
         "cycle_rename",
         "cycle_issue",
         "cycle_complete",
@@ -46,34 +65,41 @@ class ROBEntry:
         "pending_lifetimes",
     )
 
-    def __init__(self, seq: int, dyn: DynamicInstruction, cycle_fetch: int,
-                 prediction: Optional[Prediction] = None, mispredicted: bool = False):
+    def __init__(self, seq: int, trace_seq: int, pc: int, instr: Instruction,
+                 next_pc: int, taken: bool = False,
+                 mem_addr: Optional[int] = None, wrong_path: bool = False,
+                 cycle_fetch: int = 0, ready_cycle: int = 0):
         self.seq = seq
-        self.dyn = dyn
-        self.wrong_path = dyn.wrong_path
-        self.dests: List[DestRecord] = []
-        self.src_ptags: list = []  # (file_cls, srt_slot, ptag) triples
-        self.prediction = prediction
-        self.mispredicted = mispredicted
+        self.trace_seq = trace_seq
+        self.pc = pc
+        self.instr = instr
+        self.next_pc = next_pc
+        self.taken = taken
+        self.mem_addr = mem_addr
+        self.wrong_path = wrong_path
+        self.ready_cycle = ready_cycle
+        self.cycle_fetch = cycle_fetch
+        self.prediction: Optional[Prediction] = None
+        self.mispredicted = False
+        # Rename replaces these with its DestRecord list and its
+        # (file_cls, srt_slot, ptag) source triples.
+        self.dests = ()
+        self.src_ptags = ()
         self.issued = False
         self.completed = False
-        self.resolved = not dyn.instr.is_control
+        self.resolved = not instr.is_control
         self.precommitted = False
         self.committed = False
         self.squashed = False
         self.unready_sources = 0
-        self.cycle_fetch = cycle_fetch
         self.cycle_rename = _NO_CYCLE
         self.cycle_issue = _NO_CYCLE
         self.cycle_complete = _NO_CYCLE
         self.cycle_precommit = _NO_CYCLE
         self.cycle_commit = _NO_CYCLE
         self.has_checkpoint = False
-        self.pending_lifetimes: list = []  # register-event log bookkeeping
-
-    @property
-    def instr(self):
-        return self.dyn.instr
+        # Register-event log bookkeeping (RegisterEventLog.on_redefine).
+        self.pending_lifetimes = ()
 
     def __repr__(self) -> str:  # pragma: no cover
         flags = "".join(
@@ -82,21 +108,27 @@ class ROBEntry:
                 ("P", self.precommitted), ("X", self.squashed),
             ) if on
         )
-        return f"<ROB#{self.seq} {self.dyn.instr.render()} [{flags}]>"
+        return f"<ROB#{self.seq} {self.instr.render()} [{flags}]>"
 
 
 class ReorderBuffer:
-    """Age-ordered window of in-flight instructions."""
+    """Age-ordered window of in-flight instructions.
+
+    ``entries[head_index:]`` is the window, oldest first.  Both are public
+    so the precommit and commit stages can walk the window by index; the
+    list's identity never changes, and :meth:`pop_head` is the one place
+    that retires and compacts.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._entries: List[ROBEntry] = []
-        self._head = 0
+        self.entries: List[ROBEntry] = []
+        self.head_index = 0
         #: Index (relative to head) of the next entry to precommit.
         self.precommit_offset = 0
 
     def __len__(self) -> int:
-        return len(self._entries) - self._head
+        return len(self.entries) - self.head_index
 
     @property
     def free_slots(self) -> int:
@@ -107,39 +139,41 @@ class ReorderBuffer:
         return len(self) >= self.capacity
 
     def head(self) -> Optional[ROBEntry]:
-        if self._head < len(self._entries):
-            return self._entries[self._head]
+        if self.head_index < len(self.entries):
+            return self.entries[self.head_index]
         return None
 
     def at_offset(self, offset: int) -> Optional[ROBEntry]:
         """Entry at *offset* from the head (0 = oldest)."""
-        index = self._head + offset
-        if index < len(self._entries):
-            return self._entries[index]
+        index = self.head_index + offset
+        if index < len(self.entries):
+            return self.entries[index]
         return None
 
     def append(self, entry: ROBEntry) -> None:
-        if self.is_full:
+        entries = self.entries
+        if len(entries) - self.head_index >= self.capacity:
             raise RuntimeError("ROB overflow; caller must check free_slots")
-        self._entries.append(entry)
+        entries.append(entry)
 
     def pop_head(self) -> ROBEntry:
         """Commit the oldest entry."""
-        entry = self._entries[self._head]
-        self._head += 1
+        entry = self.entries[self.head_index]
+        self.head_index += 1
         if self.precommit_offset > 0:
             self.precommit_offset -= 1
-        if self._head >= 4096:
-            del self._entries[: self._head]
-            self._head = 0
+        if self.head_index >= 4096:
+            del self.entries[: self.head_index]
+            self.head_index = 0
         return entry
 
     def flush_younger(self, seq: int) -> List[ROBEntry]:
         """Remove every entry younger than *seq*; returns them youngest
         first (the order the tail walk reclaims them in)."""
+        entries = self.entries
         flushed: List[ROBEntry] = []
-        while len(self._entries) > self._head and self._entries[-1].seq > seq:
-            entry = self._entries.pop()
+        while len(entries) > self.head_index and entries[-1].seq > seq:
+            entry = entries.pop()
             entry.squashed = True
             flushed.append(entry)
         self.precommit_offset = min(self.precommit_offset, len(self))
@@ -147,5 +181,6 @@ class ReorderBuffer:
 
     def in_flight(self) -> Iterator[ROBEntry]:
         """Oldest -> youngest iteration."""
-        for i in range(self._head, len(self._entries)):
-            yield self._entries[i]
+        entries = self.entries
+        for i in range(self.head_index, len(entries)):
+            yield entries[i]

@@ -8,6 +8,7 @@ frees.  Per-instruction timeline rows are appended when
 
 from __future__ import annotations
 
+from ...isa import OpClass
 from . import Stage
 
 
@@ -21,23 +22,32 @@ class CommitStage(Stage):
         config = self.config
         self.width = config.retire_width
         self.record_timeline = config.record_timeline
+        self.execute_values = config.execute_values
         self.rob = state.rob
-        self.scheme = state.scheme
+        self.on_commit = state.scheme.on_commit
         self.checkpoints = state.checkpoints
         self.memory = state.memory
         self.stats = state.stats
         self.stores = state.stores
         self.mem_values = state.mem_values
         self.timeline = state.timeline
+        #: ``committed_by_class`` key of each op class.
+        self.class_names = {op_class: op_class.value for op_class in OpClass}
 
     def run(self, state, cycle: int) -> None:
         rob = self.rob
-        scheme = self.scheme
+        entries = rob.entries
         stats = self.stats
+        by_class = stats.committed_by_class
+        class_names = self.class_names
+        on_commit = self.on_commit
         probes = state.probes
         for _ in range(self.width):
-            entry = rob.head()
-            if entry is None or not entry.completed or not entry.precommitted:
+            index = rob.head_index
+            if index >= len(entries):
+                break
+            entry = entries[index]
+            if not entry.completed or not entry.precommitted:
                 break
             rob.pop_head()
             entry.committed = True
@@ -47,18 +57,20 @@ class CommitStage(Stage):
                 self._commit_store(state, entry, cycle)
             if instr.is_load:
                 state.lq_used -= 1
-            scheme.on_commit(entry, cycle)
-            if entry.dyn.trace_seq >= 0:
-                state.last_committed_trace_seq = entry.dyn.trace_seq
+            on_commit(entry, cycle)
+            if entry.trace_seq >= 0:
+                state.last_committed_trace_seq = entry.trace_seq
             if probes is not None:
                 for fn in probes.commit:
                     fn(entry, cycle)
             if entry.has_checkpoint:
                 self.checkpoints.release_older_equal(entry.seq)
-            stats.count_commit(instr.op_class.value)
+            stats.committed += 1
+            name = class_names[instr.op_class]
+            by_class[name] = by_class.get(name, 0) + 1
             if self.record_timeline:
                 self.timeline.append(
-                    (entry.dyn.trace_seq, entry.dyn.pc, entry.cycle_rename,
+                    (entry.trace_seq, entry.pc, entry.cycle_rename,
                      entry.cycle_issue, entry.cycle_complete,
                      entry.cycle_precommit, entry.cycle_commit)
                 )
@@ -66,14 +78,15 @@ class CommitStage(Stage):
     def _commit_store(self, state, entry, cycle: int) -> None:
         record = self.stores.pop(entry.seq, None)
         if record is not None:
-            mem_values = self.mem_values
-            for addr, value in record.words:
-                mem_values[addr] = value
+            if self.execute_values:
+                mem_values = self.mem_values
+                for addr, value in record.words:
+                    mem_values[addr] = value
             try:
                 state.store_order.remove(entry.seq)
             except ValueError:
                 pass
         state.drop_store_words(entry)
         state.sq_used -= 1
-        if entry.dyn.mem_addr is not None:
-            self.memory.store(cycle, entry.dyn.mem_addr, pc=entry.dyn.pc)
+        if entry.mem_addr is not None:
+            self.memory.store(cycle, entry.mem_addr, pc=entry.pc)

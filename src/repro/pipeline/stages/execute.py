@@ -14,14 +14,18 @@ branches to the flush stage).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict
 
 from ...isa import OpClass, Opcode
 from ...isa.semantics import compute
+from ...rename.schemes import bound_hook
 from ..rob import ROBEntry
-from ..state import WORD
+from ..state import WORD, store_word_addrs
 from . import Stage
 from .issue import enqueue_ready
+
+_by_seq = attrgetter("seq")
 
 
 class ExecuteUnit:
@@ -73,7 +77,7 @@ class ExecuteUnit:
             return self.lat_store
         if self.execute_values and not entry.wrong_path and instr.dests:
             if instr.opcode is Opcode.CALL:
-                self.results[entry.seq] = entry.dyn.pc + 1
+                self.results[entry.seq] = entry.pc + 1
             elif op_class is not OpClass.NOP and op_class is not OpClass.HALT:
                 values = self.values
                 srcs = [
@@ -84,12 +88,17 @@ class ExecuteUnit:
         return self.latency_table[op_class]
 
     def _execute_store(self, entry: ROBEntry) -> None:
+        """Record the words a correct-path store writes, for forwarding to
+        younger loads; their values too when the core executes values.
+        Forwarding is the same in both modes."""
         record = self.stores.get(entry.seq)
         if record is None:
             return
         record.issued = True
-        if self.execute_values and not entry.wrong_path:
-            addr = entry.dyn.mem_addr
+        if entry.wrong_path:
+            return
+        if self.execute_values:
+            addr = entry.mem_addr
             file_cls, _slot, ptag = entry.src_ptags[0]
             value = self.values[file_cls][ptag]
             if entry.instr.opcode is Opcode.VST:
@@ -98,9 +107,11 @@ class ExecuteUnit:
                 ]
             else:
                 record.words = [(addr, value)]
+        else:
+            record.words = [(word, None) for word in store_word_addrs(entry)]
 
     def _execute_load(self, entry: ROBEntry, cycle: int) -> int:
-        addr = entry.dyn.mem_addr
+        addr = entry.mem_addr
         if addr is None:  # wrong-path fetch past image edge; treat as hit
             return self.l1d_latency
         is_vector = entry.instr.opcode is Opcode.VLD
@@ -119,7 +130,7 @@ class ExecuteUnit:
             self.results[entry.seq] = tuple(lanes) if is_vector else lanes[0]
         if not is_vector and len(forwarded) == word_count:
             return self.lat_forward
-        completion = self.memory.load(cycle, addr, pc=entry.dyn.pc)
+        completion = self.memory.load(cycle, addr, pc=entry.pc)
         return max(1, completion - cycle)
 
     def _forward_from_stores(self, load_seq: int, addr: int,
@@ -148,51 +159,61 @@ class ExecuteStage(Stage):
     def __init__(self, state, flush_stage):
         super().__init__(state)
         self.flush = flush_stage
-        self.scheme = state.scheme
-        self.rename_unit = state.rename_unit
+        self.on_writeback = bound_hook(state.scheme, "on_writeback")
         self.completions = state.completions
         self.results = state.results
         self.values = state.values
         self.waiters = state.waiters
         self.ptag_ready = state.ptag_ready
+        self.prt_entries = {cls: file.prt.entries
+                            for cls, file in state.rename_unit.files.items()}
 
     def run(self, state, cycle: int) -> None:
         pending = self.completions.pop(cycle, None)
         if not pending:
             return
-        pending.sort(key=lambda e: e.seq)
+        if len(pending) > 1:
+            pending.sort(key=_by_seq)
         probes = state.probes
         results = self.results
+        ptag_ready = self.ptag_ready
+        prt_entries = self.prt_entries
+        on_writeback = self.on_writeback
+        waiting = self.waiters
         for entry in pending:
             if entry.squashed:
-                results.pop(entry.seq, None)
+                if results:
+                    results.pop(entry.seq, None)
                 continue
             entry.completed = True
             entry.cycle_complete = cycle
             if probes is not None:
                 for fn in probes.writeback:
                     fn(entry, cycle)
-            result = results.pop(entry.seq, None)
-            if result is not None and entry.dests:
-                record = entry.dests[0]
-                self.values[record.file][record.new_ptag] = result
-            for record in entry.dests:
-                self._set_ready(state, record.file, record.new_ptag, cycle)
+            dests = entry.dests
+            # Value execution alone fills results.
+            if results:
+                result = results.pop(entry.seq, None)
+                if result is not None and dests:
+                    record = dests[0]
+                    self.values[record.file][record.new_ptag] = result
+            for record in dests:
+                # Writeback, then wakeup of the consumers waiting on it.
+                file_cls = record.file
+                ptag = record.new_ptag
+                ptag_ready[file_cls][ptag] = True
+                prt_entries[file_cls][ptag].value_ready = True
+                if on_writeback is not None:
+                    on_writeback(file_cls, ptag, cycle)
+                waiters = waiting.pop((file_cls, ptag), None)
+                if waiters:
+                    for waiter in waiters:
+                        if waiter.squashed or waiter.issued:
+                            continue
+                        waiter.unready_sources -= 1
+                        if waiter.unready_sources == 0:
+                            enqueue_ready(state, waiter)
             if entry.instr.is_control:
                 entry.resolved = True
                 if entry.mispredicted:
                     self.flush.flush_from(state, entry, cycle)
-
-    def _set_ready(self, state, file_cls, ptag: int, cycle: int) -> None:
-        self.ptag_ready[file_cls][ptag] = True
-        self.rename_unit.files[file_cls].prt.mark_written(ptag)
-        self.scheme.on_writeback(file_cls, ptag, cycle)
-        waiters = self.waiters.pop((file_cls, ptag), None)
-        if not waiters:
-            return
-        for waiter in waiters:
-            if waiter.squashed or waiter.issued:
-                continue
-            waiter.unready_sources -= 1
-            if waiter.unready_sources == 0:
-                enqueue_ready(state, waiter)

@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ...branch import PREDICTORS, Prediction
-from ...frontend import DynamicInstruction
 from ...isa import I_BYTES
-from ..state import FetchedInstr
+from ..rob import ROBEntry
 from . import Stage
 
 
@@ -30,7 +29,14 @@ def make_predictor(name: str):
 
 
 class FetchStage(Stage):
-    """Per-cycle instruction supply into the frontend queue."""
+    """Per-cycle instruction supply into the frontend queue.
+
+    Each fetched instruction becomes the :class:`~repro.pipeline.rob.ROBEntry`
+    that rename later appends to the ROB: on the correct path it is built
+    from the trace entry's fields (never its recorded ``result``), on the
+    wrong path from what the :class:`~repro.frontend.WrongPathSupplier`
+    decodes.
+    """
 
     name = "fetch"
 
@@ -59,66 +65,75 @@ class FetchStage(Stage):
             return
         probes = state.probes
         ready_at = cycle + self.frontend_depth
+        trace_entries = self.trace.entries
+        model_icache = self.model_icache
+        block_bytes = self.ft_block_bytes
+        predict = self.predict
         slots = self.fetch_width
         targets = self.fetch_targets
+        fetched = 0
         while slots > 0 and targets > 0:
-            dyn = self._next_instr(state)
-            if dyn is None:
-                break
-            if self.model_icache and not self._icache_ok(state, dyn.pc, cycle):
-                break
-            prediction, mispredicted, taken_redirect = self.predict(dyn)
-            fetched = FetchedInstr(
-                ready_cycle=ready_at,
-                dyn=dyn,
-                prediction=prediction,
-                mispredicted=mispredicted,
-                fetch_cycle=cycle,
-            )
-            fetch_queue.append(fetched)
-            self.stats.fetched += 1
+            seq = state.next_seq
+            wrong_path = state.wrong_path
+            if wrong_path:
+                pc = state.wrong_pc
+                if pc is None:
+                    break
+                supplied = self.wp_supplier.fetch(pc, seq)
+                if supplied is None:
+                    break
+                instr, next_pc, mem_addr = supplied
+                entry = ROBEntry(seq, -1, pc, instr, next_pc, False, mem_addr,
+                                 True, cycle, ready_at)
+            else:
+                cursor = state.cursor
+                if cursor >= len(trace_entries):
+                    break
+                traced = trace_entries[cursor]
+                pc = traced.pc
+                entry = ROBEntry(seq, cursor, pc, traced.instr, traced.next_pc,
+                                 traced.taken, traced.mem_addr, False, cycle,
+                                 ready_at)
+            # The seq is spent even when an icache miss drops the entry
+            # (wrong-path pseudo-addresses depend on it).
+            state.next_seq = seq + 1
+            if model_icache:
+                block = (pc * I_BYTES) // block_bytes
+                if block != state.last_fetch_block and not self._icache_ok(
+                        state, block, pc, cycle):
+                    break
+            prediction, mispredicted, taken_redirect = predict(entry)
+            entry.prediction = prediction
+            entry.mispredicted = mispredicted
+            fetch_queue.append(entry)
+            fetched += 1
             if probes is not None:
                 for fn in probes.fetch:
-                    fn(fetched, cycle)
-            self._advance_pc(state, dyn, prediction, mispredicted)
+                    fn(entry, cycle)
+            # Advance the fetch pc.
+            if wrong_path:
+                if prediction is not None and prediction.taken:
+                    state.wrong_pc = prediction.target
+                    if prediction.target is None:
+                        state.stalled_for_resolve = True
+                else:
+                    state.wrong_pc = pc + 1
+            else:
+                state.cursor = cursor + 1
+                if mispredicted:
+                    self._enter_wrong_path(state, pc, prediction)
             slots -= 1
             if taken_redirect:
                 targets -= 1
                 state.last_fetch_block = -1
             if state.stalled_for_resolve:
                 break
+        self.stats.fetched += fetched
 
-    # -- supply -------------------------------------------------------------------
-    def _next_instr(self, state) -> Optional[DynamicInstruction]:
-        if state.wrong_path:
-            if state.wrong_pc is None:
-                return None
-            dyn = self.wp_supplier.fetch(state.wrong_pc, state.next_seq)
-            if dyn is None:
-                return None
-        else:
-            if state.cursor >= len(self.trace.entries):
-                return None
-            traced = self.trace.entries[state.cursor]
-            dyn = DynamicInstruction(
-                seq=state.next_seq,
-                pc=traced.pc,
-                instr=traced.instr,
-                next_pc=traced.next_pc,
-                taken=traced.taken,
-                mem_addr=traced.mem_addr,
-                trace_seq=state.cursor,
-            )
-        dyn.seq = state.next_seq
-        state.next_seq += 1
-        return dyn
-
-    def _icache_ok(self, state, pc: int, cycle: int) -> bool:
-        """Model fetch-target block accesses; returns False on a miss that
-        stalls the rest of this fetch cycle."""
-        block = (pc * I_BYTES) // self.ft_block_bytes
-        if block == state.last_fetch_block:
-            return True
+    def _icache_ok(self, state, block: int, pc: int, cycle: int) -> bool:
+        """Access fetch-target *block*, which holds *pc* and differs from
+        the last one fetched; returns False on a miss that stalls the rest
+        of this fetch cycle."""
         completion = self.memory.fetch(cycle, pc * I_BYTES)
         state.last_fetch_block = block
         if completion > cycle + self.l1i_latency:
@@ -127,44 +142,36 @@ class FetchStage(Stage):
         return True
 
     # -- prediction ---------------------------------------------------------------
-    def predict(self, dyn: DynamicInstruction):
+    def predict(self, entry: ROBEntry):
         """Predict control flow; returns (prediction, mispredicted, redirect).
 
-        Overridable extension point: the chaos engine's forced-mispredict
-        wrapper subclasses this stage and perturbs the return value.
+        Called with every fetched entry.  Overridable extension point: the
+        chaos engine's forced-mispredict wrapper subclasses this stage and
+        perturbs the return value.
         """
-        instr = dyn.instr
+        instr = entry.instr
         if not instr.is_control or instr.is_halt:
             return None, False, False
-        prediction = self.branch_unit.predict(dyn.pc, instr)
-        if dyn.wrong_path:
+        prediction = self.branch_unit.predict(entry.pc, instr)
+        if entry.wrong_path:
             # No ground truth; fetch follows the prediction.
             return prediction, False, prediction.taken
         mispredicted = self.branch_unit.resolve(
-            dyn.pc, instr, prediction, dyn.taken, dyn.next_pc
+            entry.pc, instr, prediction, entry.taken, entry.next_pc
         )
-        redirect = prediction.taken or dyn.taken
+        redirect = prediction.taken or entry.taken
         return prediction, mispredicted, redirect
 
-    def _advance_pc(self, state, dyn: DynamicInstruction,
-                    prediction: Optional[Prediction], mispredicted: bool) -> None:
-        if state.wrong_path:
-            if prediction is not None and prediction.taken:
-                state.wrong_pc = prediction.target  # may be None -> stall
-                if state.wrong_pc is None:
-                    state.stalled_for_resolve = True
-            else:
-                state.wrong_pc = dyn.pc + 1
-            return
-        state.cursor += 1
-        if mispredicted:
-            # Enter wrong-path mode at the predicted target.
-            state.wp_ras_snapshot = self.branch_unit.ras.snapshot()
-            state.wrong_path = True
-            if prediction is not None and prediction.taken and prediction.target is not None:
-                state.wrong_pc = prediction.target
-            elif prediction is not None and not prediction.taken:
-                state.wrong_pc = dyn.pc + 1
-            else:
-                state.wrong_pc = None
-                state.stalled_for_resolve = True
+    def _enter_wrong_path(self, state, pc: int,
+                          prediction: Optional[Prediction]) -> None:
+        """A correct-path branch at *pc* mispredicted: fetch continues at
+        the predicted target."""
+        state.wp_ras_snapshot = self.branch_unit.ras.snapshot()
+        state.wrong_path = True
+        if prediction is not None and prediction.taken and prediction.target is not None:
+            state.wrong_pc = prediction.target
+        elif prediction is not None and not prediction.taken:
+            state.wrong_pc = pc + 1
+        else:
+            state.wrong_pc = None
+            state.stalled_for_resolve = True

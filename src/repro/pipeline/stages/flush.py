@@ -106,8 +106,8 @@ class FlushStage(Stage):
         # instruction (committed or still draining).
         resume = state.last_committed_trace_seq
         for entry in rob.in_flight():
-            if entry.dyn.trace_seq > resume:
-                resume = entry.dyn.trace_seq
+            if entry.trace_seq > resume:
+                resume = entry.trace_seq
         self._restart_frontend(state)
         state.wp_ras_snapshot = None
         state.cursor = resume + 1

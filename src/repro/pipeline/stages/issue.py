@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 
 from ...isa import OpClass, Opcode
+from ...rename.schemes import bound_hook
 from ..rob import ROBEntry
 from ..state import WORD
 from . import Stage
@@ -48,7 +49,7 @@ class IssueStage(Stage):
             (ready["load"], config.load_ports, True),
             (ready["store"], config.store_ports, False),
         )
-        self.scheme = state.scheme
+        self.on_issue = bound_hook(state.scheme, "on_issue")
         self.completions = state.completions
         self.stores = state.stores
         self.store_words = state.store_words
@@ -56,6 +57,10 @@ class IssueStage(Stage):
     def run(self, state, cycle: int) -> None:
         pop = heapq.heappop
         push = heapq.heappush
+        probes = state.probes
+        on_issue = self.on_issue
+        dispatch = self.unit.dispatch
+        completions = self.completions
         for heap, width, is_load in self.port_plan:
             deferred = []
             issued = 0
@@ -66,7 +71,23 @@ class IssueStage(Stage):
                 if is_load and self._load_blocked_by_store(entry):
                     deferred.append((seq, entry))
                     continue
-                self._launch(state, entry, cycle)
+                entry.issued = True
+                entry.cycle_issue = cycle
+                state.rs_used -= 1
+                # Probes first: the sanitizer's use-after-release / underflow
+                # checks must observe the consumer counts before the scheme's
+                # issue hook decrements them.
+                if probes is not None:
+                    for fn in probes.issue:
+                        fn(entry, cycle)
+                if on_issue is not None:
+                    on_issue(entry, cycle)
+                done = cycle + dispatch(entry, cycle)
+                pending = completions.get(done)
+                if pending is None:
+                    completions[done] = [entry]
+                else:
+                    pending.append(entry)
                 issued += 1
             for item in deferred:
                 push(heap, item)
@@ -74,7 +95,7 @@ class IssueStage(Stage):
     def _load_blocked_by_store(self, entry: ROBEntry) -> bool:
         """True if an older, not-yet-issued store writes a word this load
         reads (the only ordering a perfectly-predicted machine enforces)."""
-        addr = entry.dyn.mem_addr
+        addr = entry.mem_addr
         if addr is None:
             return False
         words = 4 if entry.instr.opcode is Opcode.VLD else 1
@@ -86,22 +107,3 @@ class IssueStage(Stage):
                 if store_seq < seq and not stores[store_seq].issued:
                     return True
         return False
-
-    def _launch(self, state, entry: ROBEntry, cycle: int) -> None:
-        entry.issued = True
-        entry.cycle_issue = cycle
-        state.rs_used -= 1
-        # Probes first: the sanitizer's use-after-release / underflow
-        # checks must observe the consumer counts before the scheme's
-        # issue hook decrements them.
-        probes = state.probes
-        if probes is not None:
-            for fn in probes.issue:
-                fn(entry, cycle)
-        self.scheme.on_issue(entry, cycle)
-        done = cycle + self.unit.dispatch(entry, cycle)
-        pending = self.completions.get(done)
-        if pending is None:
-            self.completions[done] = [entry]
-        else:
-            pending.append(entry)

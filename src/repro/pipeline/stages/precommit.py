@@ -9,6 +9,7 @@ miss (paper section 2.3).
 
 from __future__ import annotations
 
+from ...rename.schemes import bound_hook
 from . import Stage
 
 
@@ -21,29 +22,32 @@ class PrecommitStage(Stage):
         super().__init__(state)
         self.width = self.config.precommit_width
         self.rob = state.rob
-        self.scheme = state.scheme
+        self.on_precommit = bound_hook(state.scheme, "on_precommit")
 
     def run(self, state, cycle: int) -> None:
         rob = self.rob
-        scheme = self.scheme
+        entries = rob.entries
+        index = rob.head_index + rob.precommit_offset
+        end = index + self.width
+        if end > len(entries):
+            end = len(entries)
+        on_precommit = self.on_precommit
         probes = state.probes
         controller = state.interrupt_controller
-        advanced = 0
-        while advanced < self.width:
-            entry = rob.at_offset(rob.precommit_offset)
-            if entry is None:
-                break
+        while index < end:
+            entry = entries[index]
             if entry.instr.may_except and not entry.issued:
                 break
             if not entry.resolved:
                 break
             entry.precommitted = True
             entry.cycle_precommit = cycle
-            scheme.on_precommit(entry, cycle)
+            if on_precommit is not None:
+                on_precommit(entry, cycle)
             if controller is not None:
                 controller.on_precommit(entry)
             if probes is not None:
                 for fn in probes.precommit:
                     fn(entry, cycle)
             rob.precommit_offset += 1
-            advanced += 1
+            index += 1

@@ -7,14 +7,18 @@ first blocking cause (``empty``, ``rob``, ``rs``, ``lq``, ``sq``,
 
 from __future__ import annotations
 
-from ..rob import ROBEntry
+from ...rename.schemes import bound_hook
 from ..state import StoreRecord, store_word_addrs
 from . import Stage
 from .issue import enqueue_ready
 
 
 class RenameStage(Stage):
-    """Rename and dispatch up to rename width instructions per cycle."""
+    """Rename and dispatch up to rename width instructions per cycle.
+
+    The fetch queue holds the entries fetch built; renaming one fills in
+    its rename fields and appends the same object to the ROB.
+    """
 
     name = "rename"
 
@@ -26,7 +30,6 @@ class RenameStage(Stage):
         self.lq_size = config.lq_size
         self.sq_size = config.sq_size
         self.rob = state.rob
-        self.scheme = state.scheme
         self.rename_unit = state.rename_unit
         self.checkpoints = state.checkpoints
         self.stats = state.stats
@@ -34,6 +37,9 @@ class RenameStage(Stage):
         self.ptag_ready = state.ptag_ready
         self.stores = state.stores
         self.store_words = state.store_words
+        scheme = state.scheme
+        self.pre_rename = bound_hook(scheme, "pre_rename")
+        self.post_rename = bound_hook(scheme, "post_rename")
 
     def _stall(self, state, cause: str, cycle: int) -> None:
         probes = state.probes
@@ -42,20 +48,29 @@ class RenameStage(Stage):
                 fn(cause, cycle)
 
     def run(self, state, cycle: int) -> None:
-        renamed = 0
         stats = self.stats
         rename_unit = self.rename_unit
+        rob = self.rob
+        pre_rename = self.pre_rename
+        post_rename = self.post_rename
+        probes = state.probes
         fetch_queue = state.fetch_queue
-        while renamed < self.width:
-            fq_head = state.fq_head
-            fetched = fetch_queue[fq_head] if fq_head < len(fetch_queue) else None
-            if fetched is None or fetched.ready_cycle > cycle:
-                if renamed == 0 and fetched is None:
+        fq_head = state.fq_head
+        queued = len(fetch_queue)
+        rob_free = rob.capacity - len(rob)
+        width = self.width
+        renamed = 0
+        while renamed < width:
+            if fq_head >= queued:
+                if renamed == 0:
                     stats.stall_empty += 1
                     self._stall(state, "empty", cycle)
                 break
-            instr = fetched.dyn.instr
-            if self.rob.is_full:
+            entry = fetch_queue[fq_head]
+            if entry.ready_cycle > cycle:
+                break
+            instr = entry.instr
+            if rob_free <= 0:
                 if renamed == 0:
                     stats.stall_rob += 1
                     self._stall(state, "rob", cycle)
@@ -75,80 +90,77 @@ class RenameStage(Stage):
                     stats.stall_sq += 1
                     self._stall(state, "sq", cycle)
                 break
-            if not rename_unit.can_rename(instr):
+            if instr.dest_counts and not rename_unit.can_rename(instr):
                 if renamed == 0:
                     stats.stall_freelist += 1
                     rename_unit.stall_cycles += 1
                     self._stall(state, "freelist", cycle)
                 break
-            state.fq_head += 1
-            if state.fq_head > 4096:
-                del fetch_queue[: state.fq_head]
-                state.fq_head = 0
-            self._rename_one(state, fetched, cycle)
+            fq_head += 1
+            state.fq_head = fq_head
+            rob_free -= 1
             renamed += 1
 
-    def _rename_one(self, state, fetched, cycle: int) -> None:
-        dyn = fetched.dyn
-        entry = ROBEntry(
-            seq=dyn.seq,
-            dyn=dyn,
-            cycle_fetch=fetched.fetch_cycle,
-            prediction=fetched.prediction,
-            mispredicted=fetched.mispredicted,
-        )
-        entry.cycle_rename = cycle
-        entry.src_ptags = self.rename_unit.lookup_sources(dyn.instr)
-        probes = state.probes
-        # Sources event fires before destination allocation (which could
-        # legitimately recycle a ptag an unsafe scheme just freed) — the
-        # sanitizer captures allocation epochs here.
-        if probes is not None:
-            for fn in probes.rename_sources:
-                fn(entry, cycle)
-        self.scheme.pre_rename(entry, cycle)
-        entry.dests = self.rename_unit.allocate_dests(dyn.instr, cycle, dyn.seq)
-        if probes is not None:
-            for fn in probes.allocate:
-                fn(entry, cycle)
-        self.scheme.post_rename(entry, cycle)
-        self.rob.append(entry)
-        self.stats.renamed += 1
-        if entry.wrong_path:
-            self.stats.wrong_path_renamed += 1
+            entry.cycle_rename = cycle
+            if instr.src_plan:
+                entry.src_ptags = rename_unit.lookup_sources(instr)
+            # Sources event fires before destination allocation (which could
+            # legitimately recycle a ptag an unsafe scheme just freed) — the
+            # sanitizer captures allocation epochs here.
+            if probes is not None:
+                for fn in probes.rename_sources:
+                    fn(entry, cycle)
+            if pre_rename is not None:
+                pre_rename(entry, cycle)
+            if instr.dest_plan:
+                entry.dests = rename_unit.allocate_dests(instr, cycle, entry.seq)
+            if probes is not None:
+                for fn in probes.allocate:
+                    fn(entry, cycle)
+            if post_rename is not None:
+                post_rename(entry, cycle)
+            rob.append(entry)
+            stats.renamed += 1
+            if entry.wrong_path:
+                stats.wrong_path_renamed += 1
 
-        # Scheduling bookkeeping
-        state.rs_used += 1
-        instr = dyn.instr
-        if instr.is_load:
-            state.lq_used += 1
-        if instr.is_store:
-            state.sq_used += 1
-            self.stores[entry.seq] = StoreRecord(entry.seq)
-            state.store_order.append(entry.seq)
-            for word in store_word_addrs(entry):
-                self.store_words.setdefault(word, []).append(entry.seq)
-        unready = 0
-        ptag_ready = self.ptag_ready
-        for file_cls, _slot, ptag in entry.src_ptags:
-            if not ptag_ready[file_cls][ptag]:
-                unready += 1
-                self.waiters.setdefault((file_cls, ptag), []).append(entry)
-        for record in entry.dests:
-            ptag_ready[record.file][record.new_ptag] = False
-        entry.unready_sources = unready
-        if unready == 0:
-            enqueue_ready(state, entry)
+            # Scheduling bookkeeping
+            state.rs_used += 1
+            if instr.is_load:
+                state.lq_used += 1
+            if instr.is_store:
+                state.sq_used += 1
+                seq = entry.seq
+                self.stores[seq] = StoreRecord(seq)
+                state.store_order.append(seq)
+                store_words = self.store_words
+                for word in store_word_addrs(entry):
+                    store_words.setdefault(word, []).append(seq)
+            unready = 0
+            ptag_ready = self.ptag_ready
+            for file_cls, _slot, ptag in entry.src_ptags:
+                if not ptag_ready[file_cls][ptag]:
+                    unready += 1
+                    self.waiters.setdefault((file_cls, ptag), []).append(entry)
+            for record in entry.dests:
+                ptag_ready[record.file][record.new_ptag] = False
+            entry.unready_sources = unready
+            if unready == 0:
+                enqueue_ready(state, entry)
 
-        # Checkpoint low-confidence branches (timing model only)
-        if (
-            instr.is_conditional_branch
-            and fetched.prediction is not None
-            and not fetched.prediction.confident
-        ):
-            entry.has_checkpoint = self.checkpoints.take(
-                entry.seq, self.rename_unit.srt_snapshots()
-            )
-        if probes is not None:
-            for fn in probes.rename:
-                fn(entry, cycle)
+            # Checkpoint low-confidence branches (timing model only)
+            prediction = entry.prediction
+            if (
+                instr.is_conditional_branch
+                and prediction is not None
+                and not prediction.confident
+            ):
+                entry.has_checkpoint = self.checkpoints.take(
+                    entry.seq, rename_unit.srt_snapshots()
+                )
+            if probes is not None:
+                for fn in probes.rename:
+                    fn(entry, cycle)
+        if fq_head > 4096:
+            del fetch_queue[:fq_head]
+            state.fq_head = 0

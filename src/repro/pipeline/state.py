@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..branch import BranchUnit, Prediction
+from ..branch import BranchUnit
 from ..frontend import (
     ArchState,
-    DynamicInstruction,
     Trace,
     WrongPathSupplier,
     canonical_memory,
@@ -43,34 +42,25 @@ if TYPE_CHECKING:
 WORD = 8
 
 
-class FetchedInstr:
-    """One instruction sitting in the frontend pipeline."""
-
-    __slots__ = ("ready_cycle", "dyn", "prediction", "mispredicted", "fetch_cycle")
-
-    def __init__(self, ready_cycle: int, dyn: DynamicInstruction,
-                 prediction: Optional[Prediction], mispredicted: bool, fetch_cycle: int):
-        self.ready_cycle = ready_cycle
-        self.dyn = dyn
-        self.prediction = prediction
-        self.mispredicted = mispredicted
-        self.fetch_cycle = fetch_cycle
-
-
 class StoreRecord:
-    """In-flight store: address/value known at issue, memory written at commit."""
+    """In-flight store: address/value known at issue, memory written at commit.
+
+    ``words`` holds a (word-aligned addr, value) pair per word an issued
+    correct-path store writes; the value is ``None`` unless the core
+    executes values.
+    """
 
     __slots__ = ("seq", "issued", "words")
 
     def __init__(self, seq: int):
         self.seq = seq
         self.issued = False
-        self.words: List[Tuple[int, int]] = []  # (word-aligned addr, value)
+        self.words: List[Tuple[int, Optional[int]]] = []
 
 
 def store_word_addrs(entry: ROBEntry) -> Tuple[int, ...]:
     """Word-aligned addresses written by a store entry."""
-    addr = entry.dyn.mem_addr
+    addr = entry.mem_addr
     if addr is None:
         return ()
     words = 4 if entry.instr.opcode is Opcode.VST else 1
@@ -102,7 +92,7 @@ class PipelineState:
     wp_ras_snapshot: Optional[tuple] = None
     fetch_stall_until: int = 0
     stalled_for_resolve: bool = False
-    fetch_queue: List[FetchedInstr] = field(default_factory=list)
+    fetch_queue: List[ROBEntry] = field(default_factory=list)
     fq_head: int = 0
     next_seq: int = 0
     last_fetch_block: int = -1

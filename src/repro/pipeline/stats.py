@@ -49,10 +49,6 @@ class SimStats:
             + self.stall_lq + self.stall_sq
         )
 
-    def count_commit(self, op_class: str) -> None:
-        self.committed += 1
-        self.committed_by_class[op_class] = self.committed_by_class.get(op_class, 0) + 1
-
     def to_dict(self) -> Dict:
         """JSON-serializable form (see :mod:`repro.harness.serialize`)."""
         return asdict(self)
@@ -151,9 +147,10 @@ class RegisterEventLog:
         lifetime = self._open.get((file, ptag))
         if lifetime is None or redefiner_entry.wrong_path:
             return
-        lifetime.redefine_seq = redefiner_entry.dyn.trace_seq
+        lifetime.redefine_seq = redefiner_entry.trace_seq
         lifetime.redefine_cycle = cycle
-        redefiner_entry.pending_lifetimes.append(lifetime)
+        redefiner_entry.pending_lifetimes = (
+            *redefiner_entry.pending_lifetimes, lifetime)
 
     def on_redefiner_precommit(self, entry, cycle: int) -> None:
         for lifetime in entry.pending_lifetimes:
@@ -168,7 +165,7 @@ class RegisterEventLog:
             # younger chain already; only close the chain we own.
             if self._open.get(key) is lifetime:
                 del self._open[key]
-        entry.pending_lifetimes = []
+        entry.pending_lifetimes = ()
 
     def on_redefiner_flush(self, entry) -> None:
         """Un-redefine: the chains stay open for the next redefiner."""
@@ -176,7 +173,7 @@ class RegisterEventLog:
             lifetime.redefine_seq = None
             lifetime.redefine_cycle = None
             lifetime.redefiner_precommit_cycle = None
-        entry.pending_lifetimes = []
+        entry.pending_lifetimes = ()
 
     def on_early_release(self, file: RegClass, ptag: int, cycle: int) -> None:
         lifetime = self._open.get((file, ptag))

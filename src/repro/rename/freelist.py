@@ -23,43 +23,47 @@ class FreeList:
     sketched in paper section 4.2.1 and maximizes the reuse distance of a
     ptag, which makes use-after-free bugs *more* likely to corrupt state —
     exactly what we want a reproduction to detect.
+
+    ``queue`` holds the free ptags, next to be allocated first; the rename
+    unit reads its length directly.  Only :meth:`allocate` and
+    :meth:`free` change it.
     """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._free = deque(range(capacity))
+        self.queue = deque(range(capacity))
         self._free_set: Set[int] = set(range(capacity))
         self.total_allocations = 0
         self.total_frees = 0
         self.min_free_watermark = capacity
 
     def __len__(self) -> int:
-        return len(self._free)
+        return len(self.queue)
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return len(self.queue)
 
     @property
     def allocated_count(self) -> int:
-        return self.capacity - len(self._free)
+        return self.capacity - len(self.queue)
 
     def is_free(self, ptag: int) -> bool:
         return ptag in self._free_set
 
     def allocate(self) -> int:
         """Pop a free ptag; raises :class:`FreeListEmptyError` when empty."""
-        if not self._free:
+        if not self.queue:
             raise FreeListEmptyError(
                 f"free list empty after {self.total_allocations} allocations"
             )
-        ptag = self._free.popleft()
+        ptag = self.queue.popleft()
         self._free_set.remove(ptag)
         self.total_allocations += 1
-        if len(self._free) < self.min_free_watermark:
-            self.min_free_watermark = len(self._free)
+        if len(self.queue) < self.min_free_watermark:
+            self.min_free_watermark = len(self.queue)
         return ptag
 
     def free(self, ptag: int) -> None:
@@ -68,7 +72,7 @@ class FreeList:
             raise ValueError(f"ptag {ptag} out of range 0..{self.capacity - 1}")
         if ptag in self._free_set:
             raise DoubleFreeError(f"ptag {ptag} freed twice")
-        self._free.append(ptag)
+        self.queue.append(ptag)
         self._free_set.add(ptag)
         self.total_frees += 1
 

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from typing import List
 
-_NEVER = -1
+#: The value of a cycle or seq field that has never been set.
+NEVER = -1
 
 
 class PhysRegEntry:
@@ -58,11 +59,11 @@ class PhysRegEntry:
         # is still in flight would let the write clobber the next owner.
         # (Initial architectural mappings are born ready.)
         self.value_ready = True
-        self.redefined_visible_cycle = _NEVER
+        self.redefined_visible_cycle = NEVER
         self.early_released = False
         self.epoch = 0
-        self.allocated_cycle = _NEVER
-        self.allocator_seq = _NEVER
+        self.allocated_cycle = NEVER
+        self.allocator_seq = NEVER
 
 
 class PhysRegTable:
@@ -85,13 +86,17 @@ class PhysRegTable:
         self.saturation_events = 0
 
     def on_allocate(self, ptag: int, cycle: int, seq: int) -> None:
-        """Reset metadata when *ptag* is handed out by the free list."""
+        """Reset metadata when *ptag* is handed out by the free list.
+
+        :meth:`~repro.rename.unit.RenameUnit.allocate_dests` performs the
+        same reset in line; a change here must be made there too.
+        """
         e = self.entries[ptag]
         e.consumer_count = 0
         e.lifetime_consumers = 0
         e.ner = False
         e.value_ready = False
-        e.redefined_visible_cycle = _NEVER
+        e.redefined_visible_cycle = NEVER
         e.early_released = False
         e.epoch += 1
         e.allocated_cycle = cycle
@@ -175,10 +180,10 @@ class PhysRegTable:
 
     def redefined_visible(self, ptag: int, cycle: int) -> bool:
         visible = self.entries[ptag].redefined_visible_cycle
-        return visible != _NEVER and visible <= cycle
+        return visible != NEVER and visible <= cycle
 
     def is_redefined(self, ptag: int) -> bool:
-        return self.entries[ptag].redefined_visible_cycle != _NEVER
+        return self.entries[ptag].redefined_visible_cycle != NEVER
 
     def clear_redefined(self, ptag: int) -> None:
-        self.entries[ptag].redefined_visible_cycle = _NEVER
+        self.entries[ptag].redefined_visible_cycle = NEVER

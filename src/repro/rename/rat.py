@@ -13,7 +13,12 @@ from typing import Dict, List, Optional, Tuple
 
 
 class RegisterAliasTable:
-    """Architectural-slot -> ptag mapping for one register file."""
+    """Architectural-slot -> ptag mapping for one register file.
+
+    ``mapping`` is the table itself, a list indexed by SRT slot.  Its
+    identity never changes (:meth:`restore` writes in place), so the
+    rename unit reads and writes it directly on the per-instruction path.
+    """
 
     def __init__(self, slots: int, initial_ptags: Optional[List[int]] = None):
         if initial_ptags is None:
@@ -21,31 +26,31 @@ class RegisterAliasTable:
         if len(initial_ptags) != slots:
             raise ValueError("initial mapping size mismatch")
         self.slots = slots
-        self._map: List[int] = list(initial_ptags)
+        self.mapping: List[int] = list(initial_ptags)
 
     def read(self, slot: int) -> int:
-        return self._map[slot]
+        return self.mapping[slot]
 
     def write(self, slot: int, ptag: int) -> int:
         """Install *ptag*; returns the previous mapping."""
-        prev = self._map[slot]
-        self._map[slot] = ptag
+        prev = self.mapping[slot]
+        self.mapping[slot] = ptag
         return prev
 
     def snapshot(self) -> Tuple[int, ...]:
-        return tuple(self._map)
+        return tuple(self.mapping)
 
     def restore(self, snap: Tuple[int, ...]) -> None:
         if len(snap) != self.slots:
             raise ValueError("snapshot size mismatch")
-        self._map = list(snap)
+        self.mapping[:] = snap
 
     def live_ptags(self) -> Tuple[int, ...]:
         """All ptags currently referenced by an architectural slot."""
-        return tuple(self._map)
+        return tuple(self.mapping)
 
     def __iter__(self):
-        return iter(self._map)
+        return iter(self.mapping)
 
 
 class CheckpointPool:

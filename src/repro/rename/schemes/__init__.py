@@ -9,7 +9,7 @@ see :mod:`repro.registry`) is one declaration, not four edits.
 """
 
 from .atr import AtrScheme
-from .base import ReleaseScheme, SchemeStats
+from .base import ReleaseScheme, SchemeStats, bound_hook
 from .baseline import BaselineScheme
 from .combined import CombinedScheme
 from .nonspec import NonSpecEarlyReleaseScheme
@@ -71,5 +71,5 @@ def make_scheme(name: str, redefine_delay: int = 0, debug_checks: bool = True) -
 __all__ = [
     "ReleaseScheme", "SchemeStats", "ConsumerTrackingScheme",
     "BaselineScheme", "NonSpecEarlyReleaseScheme", "AtrScheme", "CombinedScheme",
-    "make_scheme", "SCHEMES", "SCHEME_NAMES",
+    "make_scheme", "bound_hook", "SCHEMES", "SCHEME_NAMES",
 ]

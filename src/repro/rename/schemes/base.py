@@ -10,21 +10,34 @@ Hook call order, per simulated cycle:
 
 1. ``tick(cycle)`` — once, before any instruction processing (delayed
    redefinition signals become visible here).
-2. ``on_commit(entry, cycle)`` — per committing instruction, in order.
+2. ``on_writeback(file, ptag, cycle)`` — per destination written back
+   this cycle.
 3. ``on_precommit(entry, cycle)`` — per instruction passing the precommit
    pointer this cycle, in order.
-4. ``on_issue(entry, cycle)`` — per issuing instruction (sources read).
-5. ``pre_rename(entry, cycle)`` / ``post_rename(entry, cycle)`` — per
+4. ``on_commit(entry, cycle)`` — per committing instruction, in order.
+5. ``on_issue(entry, cycle)`` — per issuing instruction (sources read).
+6. ``pre_rename(entry, cycle)`` / ``post_rename(entry, cycle)`` — per
    renaming instruction, in program order within the cycle.  ``pre`` runs
    after source lookup but *before* destination allocation; ``post`` runs
    after the SRT has been updated.
-6. ``on_flush(flushed, cycle)`` — on a pipeline flush, with the flushed
-   entries ordered youngest first (tail -> flush point); the SRT has
-   already been restored when this is called.
 
-Entries expose: ``seq``, ``instr``, ``dests`` (:class:`DestRecord` list),
-``src_ptags`` ((file, ptag) list), ``issued``, ``precommitted``,
-``squashed``, ``wrong_path``.
+``on_flush(flushed, cycle)`` runs on a pipeline flush (a mispredicted
+branch resolving at writeback, or an interrupt), with the flushed
+entries ordered youngest first (tail -> flush point); the SRT has
+already been restored when this is called.
+
+Stages bind the hooks once, when the core is built (:func:`bound_hook`):
+a per-instruction hook that the scheme's class inherits as the base
+no-op is never called, while one set on the scheme instance before the
+core is built always is.
+
+Entries are the core's :class:`~repro.pipeline.rob.ROBEntry` records.
+From fetch they carry ``seq``, ``trace_seq`` (-1 on the wrong path),
+``pc``, ``instr``, ``next_pc``, ``taken``, ``mem_addr`` and
+``wrong_path``; rename adds ``src_ptags`` ((file, SRT slot, ptag)
+triples, in operand order) and ``dests`` (:class:`DestRecord` list);
+``issued``, ``completed``, ``precommitted`` and ``squashed`` track the
+entry's progress.
 """
 
 from __future__ import annotations
@@ -79,6 +92,25 @@ class SchemeStats:
         return cls(**data)
 
 
+#: Per-instruction hooks whose :class:`ReleaseScheme` implementation
+#: does nothing.
+NO_OP_HOOKS = frozenset(("pre_rename", "post_rename", "on_issue",
+                         "on_writeback", "on_precommit"))
+
+
+def bound_hook(scheme: "ReleaseScheme", name: str):
+    """``scheme.<name>``, bound once, or ``None`` when calling it would
+    run the base class's no-op.
+
+    A hook set on the instance (as a tracer or test wrapper does) is
+    always returned, whatever the class implements.
+    """
+    if (name in NO_OP_HOOKS and name not in vars(scheme)
+            and getattr(type(scheme), name) is getattr(ReleaseScheme, name)):
+        return None
+    return getattr(scheme, name)
+
+
 class ReleaseScheme:
     """Base scheme: owns no policy, provides shared plumbing."""
 
@@ -109,6 +141,8 @@ class ReleaseScheme:
             self.claim_listener(file_cls, ptag)
 
     # -- hooks (default: no-ops) ------------------------------------------------
+    # bound_hook skips the per-instruction ones listed in NO_OP_HOOKS when a
+    # scheme inherits them: give one a body here and drop it from that set.
     def tick(self, cycle: int) -> None:
         pass
 

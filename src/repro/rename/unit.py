@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..isa import INT_SRT_SLOTS, VEC_SRT_SLOTS, ArchReg, Instruction, RegClass
 from .freelist import FreeList
-from .physreg import PhysRegTable
+from .physreg import NEVER, PhysRegTable
 from .rat import RegisterAliasTable
 
 
@@ -95,6 +95,11 @@ class RenameUnit:
         }
         self.reserve = reserve
         self.stall_cycles = 0
+        # Per-file SRT lists and free queues, read directly on the
+        # per-instruction path; both keep their identity for the unit's
+        # lifetime.
+        self._srt = {cls: file.rat.mapping for cls, file in self.files.items()}
+        self._free = {cls: file.freelist.queue for cls, file in self.files.items()}
 
     def file_of(self, reg: ArchReg) -> RenameFile:
         return self.files[reg.cls.file]
@@ -102,10 +107,10 @@ class RenameUnit:
     def can_rename(self, instr: Instruction) -> bool:
         """True if the free lists are above the stall watermark for the
         destinations *instr* needs."""
-        files = self.files
+        free = self._free
         reserve = self.reserve
         for file_cls, count in instr.dest_counts:
-            if files[file_cls].freelist.free_count - count < reserve:
+            if len(free[file_cls]) - count < reserve:
                 return False
         return True
 
@@ -116,9 +121,11 @@ class RenameUnit:
         ATR's two-bit flush walk, which matches sources by architectural
         register.
         """
-        files = self.files
-        return [(file_cls, slot, files[file_cls].rat.read(slot))
-                for file_cls, slot in instr.src_plan]
+        srt = self._srt
+        sources = []
+        for file_cls, slot in instr.src_plan:
+            sources.append((file_cls, slot, srt[file_cls][slot]))
+        return sources
 
     def allocate_dests(self, instr: Instruction, cycle: int, seq: int) -> List[DestRecord]:
         """Allocate a new ptag per destination and update the SRT.
@@ -130,11 +137,21 @@ class RenameUnit:
         for file_cls, slot in instr.dest_plan:
             file = files[file_cls]
             new_ptag = file.freelist.allocate()
-            prt = file.prt
-            prt.on_allocate(new_ptag, cycle, seq)
-            records.append(DestRecord(file_cls, slot, new_ptag,
-                                      file.rat.write(slot, new_ptag),
-                                      prt.epoch(new_ptag)))
+            # PhysRegTable.on_allocate's reset, written out: this runs for
+            # every renamed destination.
+            e = file.prt.entries[new_ptag]
+            e.consumer_count = 0
+            e.lifetime_consumers = 0
+            e.ner = False
+            e.value_ready = False
+            e.redefined_visible_cycle = NEVER
+            e.early_released = False
+            e.epoch += 1
+            e.allocated_cycle = cycle
+            e.allocator_seq = seq
+            srt = file.rat.mapping
+            records.append(DestRecord(file_cls, slot, new_ptag, srt[slot], e.epoch))
+            srt[slot] = new_ptag
         return records
 
     def srt_snapshots(self) -> tuple:

@@ -99,7 +99,7 @@ class AtrSoundnessProbe(Probe):
     # -- event handlers ----------------------------------------------------
     def on_allocate(self, entry, cycle: int) -> None:
         self._pending = {}
-        pc = entry.dyn.pc
+        pc = entry.pc
         for record in entry.dests:
             new_key = (record.file, record.new_ptag)
             # A recycled ptag starts a fresh lifetime: any state recorded

@@ -154,7 +154,7 @@ class StaticBoundProbe(Probe):
 
     # -- event handlers ----------------------------------------------------
     def on_allocate(self, entry, cycle: int) -> None:
-        self.bound += self._weight.get(entry.dyn.pc, 0)
+        self.bound += self._weight.get(entry.pc, 0)
         for record in entry.dests:
             # A recycled ptag starts a fresh lifetime.
             self._claimed.discard((record.file, record.new_ptag))

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..branch import Prediction
-from ..frontend import DynamicInstruction, canonical_state, final_state
+from ..frontend import canonical_state, final_state
 from ..harness.jobs import CellResult
 from ..harness.spec import register_spec_type
 from ..memory import HierarchyConfig
-from ..pipeline import Core, CoreConfig, DeadlockError, InterruptController
+from ..pipeline import Core, CoreConfig, DeadlockError, InterruptController, ROBEntry
 from ..pipeline.stages import ExecuteUnit, FetchStage
 from ..rename.errors import RenameError
 from ..workloads import build_trace
@@ -162,14 +162,14 @@ class ChaosFetchStage(FetchStage):
         self._flip_prob = flip_prob
         self.forced_mispredicts = 0
 
-    def predict(self, dyn: DynamicInstruction):
-        prediction, mispredicted, redirect = super().predict(dyn)
+    def predict(self, entry: ROBEntry):
+        prediction, mispredicted, redirect = super().predict(entry)
         if (
             prediction is not None
             and not mispredicted
-            and not dyn.wrong_path
-            and dyn.instr.is_conditional_branch
-            and dyn.instr.target is not None
+            and not entry.wrong_path
+            and entry.instr.is_conditional_branch
+            and entry.instr.target is not None
             and self._rng.random() < self._flip_prob
         ):
             # Override a correct prediction with the opposite direction:
@@ -177,11 +177,11 @@ class ChaosFetchStage(FetchStage):
             # flush at resolution.
             flipped = Prediction(
                 taken=not prediction.taken,
-                target=dyn.instr.target if not prediction.taken else None,
+                target=entry.instr.target if not prediction.taken else None,
                 confident=False,
             )
             self.forced_mispredicts += 1
-            return flipped, True, flipped.taken or dyn.taken
+            return flipped, True, flipped.taken or entry.taken
         return prediction, mispredicted, redirect
 
 

@@ -145,7 +145,7 @@ class InvariantChecker(Probe):
                     f"is on the free list"
                     f"{' (early released)' if released else ''} — "
                     f"instruction #{entry.seq} {entry.instr.opcode.name} "
-                    f"pc={entry.dyn.pc}",
+                    f"pc={entry.pc}",
                     seq=entry.seq, file_cls=file_cls, ptag=ptag)
             epochs.append(file.prt.epoch(ptag))
         self._src_epochs[entry.seq] = tuple(epochs)
@@ -188,14 +188,14 @@ class InvariantChecker(Probe):
                 self._fail(
                     "use-after-release",
                     f"instruction #{entry.seq} {entry.instr.opcode.name} "
-                    f"pc={entry.dyn.pc} read {file_cls.value} p{ptag} while "
+                    f"pc={entry.pc} read {file_cls.value} p{ptag} while "
                     f"it is on the free list",
                     seq=entry.seq, file_cls=file_cls, ptag=ptag)
             if epochs is not None and file.prt.epoch(ptag) != epochs[index]:
                 self._fail(
                     "use-after-release",
                     f"instruction #{entry.seq} {entry.instr.opcode.name} "
-                    f"pc={entry.dyn.pc} read {file_cls.value} p{ptag} after "
+                    f"pc={entry.pc} read {file_cls.value} p{ptag} after "
                     f"it was released and reallocated (epoch "
                     f"{epochs[index]} -> {file.prt.epoch(ptag)})",
                     seq=entry.seq, file_cls=file_cls, ptag=ptag)

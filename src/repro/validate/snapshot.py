@@ -23,8 +23,8 @@ def _entry_summary(entry) -> Optional[Dict]:
         return None
     return {
         "seq": entry.seq,
-        "trace_seq": entry.dyn.trace_seq,
-        "pc": entry.dyn.pc,
+        "trace_seq": entry.trace_seq,
+        "pc": entry.pc,
         "opcode": entry.instr.opcode.name,
         "issued": entry.issued,
         "completed": entry.completed,

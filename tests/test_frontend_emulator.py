@@ -115,9 +115,6 @@ class TestTraceRecords:
             else:
                 assert e.mem_addr is None
 
-    def test_trace_seq_defaults_to_seq(self, loop_trace):
-        assert all(e.trace_seq == e.seq for e in loop_trace)
-
     def test_step_after_halt_returns_none(self):
         emulator = Emulator(assemble("halt"))
         assert emulator.step() is not None

@@ -1,15 +1,16 @@
 """Deeper pipeline behaviours: recovery timing, the register event log,
-frontend limits, and DRAM modeling details."""
+frontend limits, store-to-load forwarding, and DRAM modeling details."""
 
 import dataclasses
 
 import pytest
 
-from repro.frontend import DynamicInstruction, run_program
+from repro.frontend import run_program
 from repro.isa import Instruction, Opcode, RegClass, assemble, ireg
 from repro.memory import DramModel
-from repro.pipeline import Core, ROBEntry, fast_test_config
+from repro.pipeline import Core, ROBEntry, fast_test_config, golden_cove_config
 from repro.pipeline.stats import RegisterEventLog
+from repro.workloads import build_trace
 
 
 class TestRecoveryTiming:
@@ -71,10 +72,8 @@ class TestFrontendLimits:
 class TestEventLog:
     def _entry(self, seq, wrong_path=False):
         instr = Instruction(Opcode.ADD, dests=(ireg(1),), srcs=(ireg(2), ireg(3)))
-        dyn = DynamicInstruction(seq=seq, pc=0, instr=instr, next_pc=1,
-                                 wrong_path=wrong_path,
-                                 trace_seq=-1 if wrong_path else seq)
-        return ROBEntry(seq=seq, dyn=dyn, cycle_fetch=0)
+        return ROBEntry(seq=seq, trace_seq=-1 if wrong_path else seq, pc=0,
+                        instr=instr, next_pc=1, wrong_path=wrong_path)
 
     def test_chain_lifecycle(self):
         log = RegisterEventLog()
@@ -116,6 +115,30 @@ class TestEventLog:
         log.on_allocate(RegClass.INT, 6, seq=1, cycle=11, wrong_path=False)
         log.on_redefine(RegClass.INT, 6, redefiner, cycle=20)
         assert not redefiner.pending_lifetimes  # wrong-path redefiner ignored
+
+
+class TestStoreForwarding:
+    @pytest.mark.parametrize("scheme", ["baseline", "atr"])
+    def test_forwarding_does_not_depend_on_value_execution(self, scheme):
+        """Forwarding is timing: a load an older issued store fully covers
+        skips the cache whether or not the core executes values.  Every
+        sweep runs with values off, the golden-equivalence tests with them
+        on, so both must simulate the same machine.  A quarter of
+        exchange2's correct-path loads forward."""
+        trace = build_trace("548.exchange2_r", 3000)
+        runs = []
+        for execute_values in (True, False):
+            config = dataclasses.replace(
+                golden_cove_config(rf_size=64, scheme=scheme),
+                execute_values=execute_values)
+            core = Core(config, trace)
+            stats = core.run()
+            runs.append((stats.to_dict(), core.scheme.stats.to_dict(),
+                         core.memory.stats_table()))
+        (stats_on, scheme_on, memory_on), (stats_off, scheme_off, memory_off) = runs
+        assert stats_on == stats_off
+        assert scheme_on == scheme_off
+        assert memory_on == memory_off
 
 
 class TestDram:

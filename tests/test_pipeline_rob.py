@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.frontend import DynamicInstruction
 from repro.isa import Instruction, Opcode, ireg
 from repro.pipeline import ReorderBuffer, ROBEntry
 
 
 def _entry(seq):
     instr = Instruction(Opcode.ADD, dests=(ireg(1),), srcs=(ireg(2), ireg(3)))
-    dyn = DynamicInstruction(seq=seq, pc=seq, instr=instr, next_pc=seq + 1)
-    return ROBEntry(seq=seq, dyn=dyn, cycle_fetch=0)
+    return ROBEntry(seq=seq, trace_seq=seq, pc=seq, instr=instr, next_pc=seq + 1)
 
 
 def test_append_and_len():

@@ -3,7 +3,11 @@
 Covers the stage/probe decomposition of the core:
 
 * **Golden stats** — the refactored pipeline reproduces the
-  pre-refactor fixture (``tests/data/golden_stats.json``) bit for bit.
+  pre-refactor fixture (``tests/data/golden_stats.json``) bit for bit,
+  and every release scheme reproduces ``tests/data/scheme_stats.json``.
+* **One record** — the entry fetch builds is the object that is renamed,
+  issued, and committed or flushed.
+* **Hook binding** — stages call scheme hooks installed on the instance.
 * **Stage order** — the documented 7-phase order holds on every cycle,
   including flush and interrupt-service cycles, observed through a
   recording probe rather than instrumentation hacks.
@@ -17,6 +21,7 @@ Covers the stage/probe decomposition of the core:
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,6 +34,7 @@ from repro.pipeline import (
     Core,
     CoreConfig,
     InterruptController,
+    Probe,
     RecordingProbe,
     fast_test_config,
     golden_cove_config,
@@ -40,6 +46,11 @@ from repro.workloads import build_trace
 from tests.conftest import BRANCHY_SRC
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_stats.json"
+
+#: SimStats and SchemeStats of every scheme, ATR with a two-cycle
+#: redefinition delay included, on four refs (rf=64, 3,000 instructions).
+SCHEME_STATS = json.loads(
+    (Path(__file__).parent / "data" / "scheme_stats.json").read_text())
 
 
 def _normalize(d):
@@ -69,6 +80,113 @@ class TestGoldenStats:
         stats = core.run()
         assert _normalize(stats.to_dict()) == cell["sim_stats"]
         assert _normalize(core.scheme.stats.to_dict()) == cell["scheme_stats"]
+
+
+def _scheme_cell_id(cell):
+    return f"{cell['benchmark']}-{cell['scheme']}-delay{cell['redefine_delay']}"
+
+
+class TestSchemeStats:
+    """golden_stats.json pins baseline and ATR only; these cells pin
+    nonspec-ER, the combined scheme and ATR's delayed redefinition too,
+    whose hooks (precommit, writeback, the delayed tick) the stages bind."""
+
+    @pytest.mark.parametrize("cell", SCHEME_STATS["cells"], ids=_scheme_cell_id)
+    def test_cell_reproduces_exactly(self, cell):
+        trace = build_trace(cell["benchmark"], SCHEME_STATS["instructions"])
+        config = dataclasses.replace(
+            golden_cove_config(rf_size=SCHEME_STATS["rf_size"],
+                               scheme=cell["scheme"]),
+            redefine_delay=cell["redefine_delay"])
+        core = Core(config, trace)
+        stats = core.run()
+        assert _normalize(stats.to_dict()) == cell["sim_stats"]
+        assert _normalize(core.scheme.stats.to_dict()) == cell["scheme_stats"]
+
+
+class _EntryLog(Probe):
+    """Keeps the object each lifecycle event delivers."""
+
+    def __init__(self):
+        self.fetched = {}
+        self.later = {"rename": [], "issue": [], "commit": [], "flush": []}
+
+    def on_fetch(self, entry, cycle):
+        self.fetched[entry.seq] = entry
+
+    def on_rename(self, entry, cycle):
+        self.later["rename"].append(entry)
+
+    def on_issue(self, entry, cycle):
+        self.later["issue"].append(entry)
+
+    def on_commit(self, entry, cycle):
+        self.later["commit"].append(entry)
+
+    def on_flush(self, flushed, kind, cycle):
+        self.later["flush"].extend(flushed)
+
+
+class TestOneRecord:
+    def test_fetched_entry_is_the_record_that_retires(self):
+        """One object per in-flight instruction: rename, issue, commit and
+        flush see exactly the entry fetch built, on both paths."""
+        trace = build_trace("505.mcf_r", 2000)
+        core = Core(golden_cove_config(rf_size=64, scheme="atr"), trace)
+        log = core.add_probe(_EntryLog())
+        stats = core.run()
+        assert stats.wrong_path_renamed > 0, "run must fetch down wrong paths"
+        assert len(log.fetched) == stats.fetched
+        assert len(log.later["commit"]) == stats.committed
+        assert log.later["flush"], "run must flush renamed entries"
+        for event, entries in log.later.items():
+            for entry in entries:
+                assert log.fetched[entry.seq] is entry, (event, entry.seq)
+        assert any(entry.wrong_path for entry in log.later["flush"])
+        assert all(entry.trace_seq == entry_index for entry_index, entry
+                   in enumerate(log.later["commit"]))
+
+
+#: Every per-instruction or per-event scheme hook the stages call.
+_HOOKS = ("pre_rename", "post_rename", "on_issue", "on_writeback",
+          "on_precommit", "on_commit", "on_flush")
+
+
+class _HookCountingCore(Core):
+    """Wraps the scheme's hooks on the instance before the stages are
+    built, as a tracer timing the hooks does."""
+
+    def _build_stages(self, state):
+        scheme = state.scheme
+        self.hook_calls = Counter()
+        for hook in _HOOKS:
+            def counted(*args, _hook=hook, _call=getattr(scheme, hook)):
+                self.hook_calls[_hook] += 1
+                return _call(*args)
+            setattr(scheme, hook, counted)
+        return super()._build_stages(state)
+
+
+class TestSchemeHookBinding:
+    @pytest.mark.parametrize("scheme", ["baseline", "atr"])
+    def test_hooks_installed_on_the_instance_are_called(self, scheme):
+        """Stages may skip a hook the scheme's class inherits as a no-op
+        (baseline inherits all of pre_rename, post_rename, on_issue,
+        on_writeback and on_precommit), but never one set on the
+        instance."""
+        trace = build_trace("531.deepsjeng_r", 2000)
+        core = _HookCountingCore(golden_cove_config(rf_size=64, scheme=scheme),
+                                 trace)
+        stats = core.run()
+        calls = core.hook_calls
+        assert calls["pre_rename"] == stats.renamed
+        assert calls["post_rename"] == stats.renamed
+        assert calls["on_commit"] == stats.committed
+        # Flushes never squash a precommitted entry, and the run drains.
+        assert calls["on_precommit"] == stats.committed
+        assert calls["on_issue"] >= stats.committed
+        assert calls["on_writeback"] > 0
+        assert calls["on_flush"] == stats.flushes
 
 
 class TestStageOrder:

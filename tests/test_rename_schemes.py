@@ -23,7 +23,6 @@ class FakeEntry:
         self.precommitted = False
         self.squashed = False
         self.wrong_path = False
-        self.dyn = None
 
 
 class Machine:

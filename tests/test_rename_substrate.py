@@ -1,15 +1,18 @@
-"""Free list, RAT, checkpoint pool, and PRT unit tests."""
+"""Free list, RAT, checkpoint pool, PRT and rename-unit tests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.isa import Instruction, Opcode, RegClass, ireg
 from repro.rename import (
     CheckpointPool,
     DoubleFreeError,
     FreeList,
     FreeListEmptyError,
+    PhysRegEntry,
     PhysRegTable,
     RegisterAliasTable,
+    RenameUnit,
 )
 
 
@@ -122,6 +125,17 @@ class TestRAT:
         rat = RegisterAliasTable(2)
         with pytest.raises(ValueError):
             rat.restore((1, 2, 3))
+
+    def test_restore_keeps_the_mapping_list(self):
+        """The rename unit holds the mapping list itself, so a restore
+        must write into it rather than replace it."""
+        rat = RegisterAliasTable(4)
+        mapping = rat.mapping
+        snap = rat.snapshot()
+        rat.write(1, 7)
+        rat.restore(snap)
+        assert rat.mapping is mapping
+        assert mapping == [0, 1, 2, 3]
 
 
 class TestCheckpointPool:
@@ -259,3 +273,27 @@ class TestPhysRegTable:
     def test_minimum_counter_width(self):
         with pytest.raises(ValueError):
             PhysRegTable(8, counter_bits=1)
+
+
+class TestRenameUnit:
+    def test_allocation_resets_the_prt_entry_as_on_allocate_does(self):
+        """allocate_dests writes PhysRegTable.on_allocate's reset out in
+        line; both must leave the entry in the same state."""
+        unit = RenameUnit(int_size=24, vec_size=20)
+        file = unit.files[RegClass.INT]
+        ptag = file.freelist.queue[0]
+        reference = PhysRegTable(file.size)
+        for prt in (file.prt, reference):
+            prt.add_consumer(ptag)
+            prt.add_consumer(ptag)
+            prt.mark_ner(ptag)
+            prt.mark_redefined(ptag, 3)
+            prt.entries[ptag].early_released = True
+        instr = Instruction(Opcode.ADD, dests=(ireg(1),), srcs=(ireg(2), ireg(3)))
+        (record,) = unit.allocate_dests(instr, cycle=40, seq=9)
+        reference.on_allocate(ptag, 40, 9)
+        assert record.new_ptag == ptag
+        assert record.new_epoch == reference.epoch(ptag)
+        entry, expected = file.prt.entries[ptag], reference.entries[ptag]
+        for field in PhysRegEntry.__slots__:
+            assert getattr(entry, field) == getattr(expected, field), field
