@@ -37,9 +37,9 @@ def main() -> None:
               f"{s.commit_frees:7d} {s.atr_frees:6d} {s.nonspec_frees:8d} "
               f"{s.flush_frees:6d}   ({gain:+.1%} vs baseline)")
 
-    print("\nEvery run's committed architectural state is checked against")
-    print("the functional emulator inside the test suite; free-list")
-    print("conservation is asserted at the end of each run.")
+    print("\nEvery run above ended by checking free-list conservation and")
+    print("its committed architectural state against the values the")
+    print("functional emulator recorded in the trace.")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ from .emulator import (
     EmulationError,
     Emulator,
     canonical_memory,
-    canonical_state,
     final_state,
     memory_image,
     run_program,
@@ -15,7 +14,7 @@ from .wrongpath import WrongPathSupplier
 
 __all__ = [
     "Emulator", "ArchState", "EmulationError", "run_program", "final_state",
-    "canonical_memory", "canonical_state", "memory_image",
+    "canonical_memory", "memory_image",
     "DynamicInstruction", "Trace",
     "WrongPathSupplier",
 ]

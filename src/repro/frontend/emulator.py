@@ -2,21 +2,22 @@
 
 Executes a :class:`~repro.isa.program.Program` architecturally (no timing)
 and records the dynamic trace the cycle simulator replays, each entry
-with the value it committed (what fast-forward replays).  The cycle
-simulator's committed architectural state must match this emulator's final
-state exactly, for every release scheme; the integration tests enforce
-that equivalence, which is the strongest correctness check on ATR's early
-release and flush-walk logic.
+with the value it committed.  The cycle simulator's committed
+architectural state must match this emulator's final state exactly, for
+every release scheme — the strongest correctness check on ATR's early
+release and flush-walk logic.  Every ``Core.run`` checks it at its end
+by replaying the trace's recorded values through :meth:`Emulator.commit`,
+and the integration tests check it against independent emulator runs.
 
 Value semantics live in :mod:`repro.isa.semantics` and are shared with the
-cycle simulator's value-execution mode, so the two models cannot drift.
+cycle simulator's value execution, so the two models cannot drift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..isa import (
     FLAGS,
@@ -48,9 +49,14 @@ def canonical_memory(memory: Dict[int, int]) -> Dict[int, int]:
     return {addr: value for addr, value in memory.items() if value != 0}
 
 
-def memory_image(data: Dict[int, int], written: Dict[int, int]) -> Dict[int, int]:
-    """The full memory image: the program's *data* image overlaid by the
-    *written* words, built only for comparisons (no model keeps one)."""
+def memory_image(data: Dict[int, int], written: Dict[int, int],
+                 words: Optional[Iterable[int]] = None) -> Dict[int, int]:
+    """The memory image: the program's *data* image overlaid by the
+    *written* words, in full or only at the addresses in *words*.  Built
+    only for comparisons (no model keeps one)."""
+    if words is not None:
+        return {addr: written[addr] if addr in written else data.get(addr, 0)
+                for addr in words}
     image = dict(data)
     image.update(written)
     return image
@@ -105,11 +111,6 @@ class ArchState:
         if len(out) > limit:
             out = out[:limit] + [f"... and {len(out) - limit} more mismatches"]
         return out
-
-
-def canonical_state(state: ArchState) -> ArchState:
-    """Canonical form of *state* for golden-model comparison."""
-    return state.canonicalize()
 
 
 class EmulationError(RuntimeError):
@@ -198,15 +199,16 @@ class Emulator:
         return {RegClass.INT: tuple(regs[:INT_SRT_SLOTS]),
                 RegClass.VEC: tuple(regs[INT_SRT_SLOTS:])}
 
-    def snapshot(self) -> ArchState:
-        """The full architectural state, data image included (for
-        comparisons; the emulation itself never builds it)."""
+    def snapshot(self, words: Optional[Iterable[int]] = None) -> ArchState:
+        """The architectural state, for comparisons (the emulation itself
+        never builds it).  Memory is the full image, data image included,
+        or, given *words*, only those addresses."""
         regs = self.regs
         return ArchState(
             int_regs=tuple(regs[:NUM_INT_REGS]),
             vec_regs=tuple(regs[INT_SRT_SLOTS:]),
             flags=regs[_FLAGS_INDEX],
-            memory=memory_image(self.program.data, self.written),
+            memory=memory_image(self.program.data, self.written, words),
         )
 
     # -- execution -------------------------------------------------------------
@@ -298,7 +300,9 @@ class Emulator:
 
         Replays a recorded trace entry (its ``result``) without executing
         anything; :func:`repro.pipeline.warmup.fast_forward` rebuilds the
-        architectural state this way.
+        architectural state this way, and
+        :meth:`repro.pipeline.Core.check_golden_state` the expected end
+        state of a run.
         """
         _instr, kind, _reads, dest, _evaluate = self._decoded[record.pc]
         if dest is not None:

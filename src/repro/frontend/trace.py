@@ -9,8 +9,9 @@ blocks along with their corresponding memory addresses" and re-fetches
 static code on the wrong path.
 
 Each entry also records the value it committed, so functional
-fast-forward replays the trace instead of emulating the program again:
-a trace is built with one emulator run and only ever read afterwards.
+fast-forward and every run's closing golden check replay the trace
+instead of emulating the program again: a trace is built with one
+emulator run and only ever read afterwards.
 Traces live in memory only (see ``build_trace``'s cache); nothing
 writes them to files.
 """
@@ -30,10 +31,12 @@ class DynamicInstruction:
     ``mem_addr`` is the effective byte address for memory operations, else
     ``None``.  ``result`` is what the emulator committed: the value written
     to the destination register, or the word (``st``) or lanes (``vst``)
-    stored; ``None`` when the instruction writes nothing.  Only functional
-    replay (:func:`repro.pipeline.warmup.fast_forward`) reads it — the
-    cycle core computes its own values, and its fetch stage builds each
-    in-flight entry from the other fields.
+    stored; ``None`` when the instruction writes nothing.  Only the two
+    functional replays read it: :func:`repro.pipeline.warmup.fast_forward`
+    and the end-of-run golden check
+    (:meth:`repro.pipeline.Core.check_golden_state`).  Fetch, rename,
+    issue and execute never do: the cycle core computes its own values,
+    and its fetch stage builds each in-flight entry from the other fields.
     """
 
     __slots__ = ("seq", "pc", "instr", "next_pc", "taken", "mem_addr", "result")

@@ -57,9 +57,6 @@ def simulate_cell(spec: CellSpec, config: Optional[CoreConfig] = None,
             redefine_delay=spec.redefine_delay,
             record_register_events=spec.record_register_events,
         )
-        # Value execution is a correctness harness, not a performance
-        # model; experiments disable it for speed (tests keep it on).
-        config = replace(config, execute_values=False)
     if check_invariants:
         config = replace(config, check_invariants=True)
     trace = build_trace(spec.benchmark, spec.instructions)

@@ -1,12 +1,13 @@
 """Pure value semantics of the ISA, shared by the functional emulator and
-the cycle simulator's value-execution mode.
+the cycle simulator, which computes every correct-path value with them.
 
 Keeping these as pure functions of (instruction, source values) lets the
 out-of-order pipeline compute results through *physical* registers: if a
 release scheme ever frees a register too early and it gets reallocated
 while still live, the corrupted value propagates to the final
-architectural state and the golden-model comparison fails — the strongest
-possible end-to-end check on early-release correctness.
+architectural state and the golden-model comparison that ends every run
+fails — the strongest possible end-to-end check on early-release
+correctness.
 """
 
 from __future__ import annotations

@@ -84,10 +84,8 @@ class CoreConfig:
     memory: HierarchyConfig = field(default_factory=HierarchyConfig)
 
     # Modeling switches
-    execute_values: bool = True
     record_register_events: bool = False
     record_timeline: bool = False
-    conservation_check: bool = True
     # Online invariant sanitizer (repro.validate): per-event use-after-
     # release / conservation / ordering checks.  Off by default — when
     # off the core holds no checker and pays a single `is None` test per

@@ -9,17 +9,21 @@ documented per-cycle phase order — see DESIGN.md, "Pipeline
 architecture", the single source of truth for stages, state, and the
 probe event table.
 
-Value execution (``config.execute_values``) computes every correct-path
-result through *physical* registers, so the committed architectural
-state can be compared against the functional emulator — the end-to-end
-safety check for early register release.
+The core computes every correct-path result through *physical*
+registers, and every :meth:`Core.run` ends with two checks: free-list
+conservation, then golden-model equivalence
+(:meth:`Core.check_golden_state`), which compares the committed
+architectural state with a replay of the run's own trace.  A release
+scheme that lets a reallocation corrupt a live value fails the second —
+the end-to-end safety check for early register release.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..frontend import ArchState, Trace
+from ..frontend import ArchState, Emulator, Trace
+from ..isa import RegClass
 from ..rename import make_scheme
 from ..rename.schemes import ReleaseScheme
 from .config import CoreConfig
@@ -70,6 +74,16 @@ class DeadlockError(RuntimeError):
         return text
 
 
+class GoldenStateError(AssertionError):
+    """The committed architectural state differs from the trace's.
+
+    Raised at the end of :meth:`Core.run` when a register, FLAGS or a
+    stored word differs from replaying the run's trace entries; the
+    message names the trace and the first mismatches, core side first.
+    An ``AssertionError``, so chaos cells report it as a violation.
+    """
+
+
 class Core:
     """One simulated core, bound to a trace and a release scheme."""
 
@@ -81,14 +95,6 @@ class Core:
             scheme = make_scheme(config.scheme, config.redefine_delay,
                                  config.scheme_debug_checks)
         self.state = build_state(config, trace, scheme, warmup)
-        self._chained_release = None
-        self._chained_claim = None
-        # Freeze the dispatcher bound methods: attribute access would mint
-        # a fresh bound-method object each time, defeating the identity
-        # checks in _sync_scheme_listeners (and self-chaining the
-        # dispatcher once a second release/claim subscriber registers).
-        self._dispatch_release = self._dispatch_release
-        self._dispatch_claim = self._dispatch_claim
 
         #: Register-event log for the analysis package (probe-fed).
         self.event_log: Optional[RegisterEventLog] = None
@@ -184,38 +190,26 @@ class Core:
         self._sync_scheme_listeners()
 
     def _sync_scheme_listeners(self) -> None:
-        """Route the scheme's free/claim callbacks into the probe layer
-        while preserving any externally installed listener."""
+        """Point the scheme's release/claim callbacks at the probe layer
+        while a probe subscribes to them, and clear them otherwise."""
         scheme = self.state.scheme
         manager = self.state.probes
-        if manager is not None and manager.early_release:
-            if scheme.release_listener is not self._dispatch_release:
-                self._chained_release = scheme.release_listener
-                scheme.release_listener = self._dispatch_release
-        elif scheme.release_listener is self._dispatch_release:
-            scheme.release_listener = self._chained_release
-            self._chained_release = None
-        if manager is not None and manager.claim:
-            if scheme.claim_listener is not self._dispatch_claim:
-                self._chained_claim = scheme.claim_listener
-                scheme.claim_listener = self._dispatch_claim
-        elif scheme.claim_listener is self._dispatch_claim:
-            scheme.claim_listener = self._chained_claim
-            self._chained_claim = None
+        scheme.release_listener = (
+            self._dispatch_release
+            if manager is not None and manager.early_release else None)
+        scheme.claim_listener = (
+            self._dispatch_claim
+            if manager is not None and manager.claim else None)
 
     def _dispatch_release(self, file_cls, ptag: int) -> None:
         state = self.state
         for fn in state.probes.early_release:
             fn(file_cls, ptag, state.cycle)
-        if self._chained_release is not None:
-            self._chained_release(file_cls, ptag)
 
     def _dispatch_claim(self, file_cls, ptag: int) -> None:
         state = self.state
         for fn in state.probes.claim:
             fn(file_cls, ptag, state.cycle)
-        if self._chained_claim is not None:
-            self._chained_claim(file_cls, ptag)
 
     # -- interrupts -------------------------------------------------------------
     def attach_interrupt_controller(self, controller) -> None:
@@ -236,7 +230,8 @@ class Core:
         jumped instead of spun, with the per-cycle rename-stall accounting
         replayed in bulk so the resulting :class:`SimStats` are
         bit-identical to the spin loop.  Attaching a probe makes every
-        cycle visible.
+        cycle visible.  The run ends with :meth:`check_conservation` and
+        :meth:`check_golden_state`.
         """
         state = self.state
         if max_cycles is None:
@@ -269,8 +264,8 @@ class Core:
             if state.cycle >= max_cycles:
                 raise self._deadlock(f"exceeded max_cycles={max_cycles}")
         stats.cycles = state.cycle
-        if state.config.conservation_check:
-            self.check_conservation()
+        self.check_conservation()
+        self.check_golden_state()
         return stats
 
     def _skip_target(self, bound: int) -> int:
@@ -434,13 +429,41 @@ class Core:
 
     # -- queries ----------------------------------------------------------------
     def architectural_state(self) -> ArchState:
-        """Committed architectural state (requires value execution)."""
+        """Committed architectural state, full memory image included."""
         return self.state.architectural_state()
 
     def check_conservation(self) -> None:
         """Free-list conservation: with an empty ROB every allocated ptag
         is exactly an SRT mapping."""
         self.state.check_conservation()
+
+    def check_golden_state(self) -> None:
+        """Golden-model equivalence: the committed registers, FLAGS and
+        stored words equal those of replaying the trace.
+
+        The replay commits each trace entry's recorded result into an
+        :class:`~repro.frontend.Emulator` started from the core's start
+        registers (zeros, or a warm checkpoint's), so it executes
+        nothing.  Only the words the trace stores are compared, never the
+        full memory image.
+        """
+        state = self.state
+        trace = state.trace
+        replay = Emulator(trace.program)
+        start = state.start_regs
+        if start is not None:
+            replay.regs = [*start[RegClass.INT], *start[RegClass.VEC]]
+        commit = replay.commit
+        for entry in trace.entries:
+            commit(entry)
+        words = replay.written
+        mismatches = state.architectural_state(words).diff(
+            replay.snapshot(words))
+        if mismatches:
+            detail = "\n".join(f"  {line}" for line in mismatches)
+            raise GoldenStateError(
+                f"{trace.name}: committed state differs from replaying its "
+                f"{len(trace)} trace entries (core != trace):\n{detail}")
 
 
 def simulate(config: CoreConfig, trace: Trace, max_cycles: Optional[int] = None) -> SimStats:

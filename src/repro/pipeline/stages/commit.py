@@ -22,7 +22,6 @@ class CommitStage(Stage):
         config = self.config
         self.width = config.retire_width
         self.record_timeline = config.record_timeline
-        self.execute_values = config.execute_values
         self.rob = state.rob
         self.on_commit = state.scheme.on_commit
         self.checkpoints = state.checkpoints
@@ -78,10 +77,9 @@ class CommitStage(Stage):
     def _commit_store(self, state, entry, cycle: int) -> None:
         record = self.stores.pop(entry.seq, None)
         if record is not None:
-            if self.execute_values:
-                mem_values = self.mem_values
-                for addr, value in record.words:
-                    mem_values[addr] = value
+            mem_values = self.mem_values
+            for addr, value in record.words:
+                mem_values[addr] = value
             try:
                 state.store_order.remove(entry.seq)
             except ValueError:

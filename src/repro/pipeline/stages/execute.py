@@ -21,7 +21,7 @@ from ...isa import OpClass, Opcode
 from ...isa.semantics import compute
 from ...rename.schemes import bound_hook
 from ..rob import ROBEntry
-from ..state import WORD, store_word_addrs
+from ..state import WORD
 from . import Stage
 from .issue import enqueue_ready
 
@@ -35,7 +35,6 @@ class ExecuteUnit:
         self.state = state
         config = state.config
         self.config = config
-        self.execute_values = config.execute_values
         self.lat_store = config.lat_store
         self.lat_forward = config.lat_forward
         self.l1d_latency = config.memory.l1d_latency
@@ -75,7 +74,7 @@ class ExecuteUnit:
         if op_class is OpClass.STORE or op_class is OpClass.VEC_STORE:
             self._execute_store(entry)
             return self.lat_store
-        if self.execute_values and not entry.wrong_path and instr.dests:
+        if not entry.wrong_path and instr.dests:
             if instr.opcode is Opcode.CALL:
                 self.results[entry.seq] = entry.pc + 1
             elif op_class is not OpClass.NOP and op_class is not OpClass.HALT:
@@ -88,27 +87,23 @@ class ExecuteUnit:
         return self.latency_table[op_class]
 
     def _execute_store(self, entry: ROBEntry) -> None:
-        """Record the words a correct-path store writes, for forwarding to
-        younger loads; their values too when the core executes values.
-        Forwarding is the same in both modes."""
+        """Record the words a correct-path store writes, with their values,
+        for forwarding to younger loads and for commit."""
         record = self.stores.get(entry.seq)
         if record is None:
             return
         record.issued = True
         if entry.wrong_path:
             return
-        if self.execute_values:
-            addr = entry.mem_addr
-            file_cls, _slot, ptag = entry.src_ptags[0]
-            value = self.values[file_cls][ptag]
-            if entry.instr.opcode is Opcode.VST:
-                record.words = [
-                    ((addr + i * WORD), lane) for i, lane in enumerate(value)
-                ]
-            else:
-                record.words = [(addr, value)]
+        addr = entry.mem_addr
+        file_cls, _slot, ptag = entry.src_ptags[0]
+        value = self.values[file_cls][ptag]
+        if entry.instr.opcode is Opcode.VST:
+            record.words = [
+                ((addr + i * WORD), lane) for i, lane in enumerate(value)
+            ]
         else:
-            record.words = [(word, None) for word in store_word_addrs(entry)]
+            record.words = [(addr, value)]
 
     def _execute_load(self, entry: ROBEntry, cycle: int) -> int:
         addr = entry.mem_addr
@@ -117,7 +112,7 @@ class ExecuteUnit:
         is_vector = entry.instr.opcode is Opcode.VLD
         word_count = 4 if is_vector else 1
         forwarded = self._forward_from_stores(entry.seq, addr, word_count)
-        if self.execute_values and not entry.wrong_path:
+        if not entry.wrong_path:
             lanes = []
             for i in range(word_count):
                 word_addr = addr + i * WORD
@@ -182,8 +177,7 @@ class ExecuteStage(Stage):
         waiting = self.waiters
         for entry in pending:
             if entry.squashed:
-                if results:
-                    results.pop(entry.seq, None)
+                results.pop(entry.seq, None)
                 continue
             entry.completed = True
             entry.cycle_complete = cycle
@@ -191,12 +185,11 @@ class ExecuteStage(Stage):
                 for fn in probes.writeback:
                     fn(entry, cycle)
             dests = entry.dests
-            # Value execution alone fills results.
-            if results:
-                result = results.pop(entry.seq, None)
-                if result is not None and dests:
-                    record = dests[0]
-                    self.values[record.file][record.new_ptag] = result
+            # Dispatch left each correct-path value here.
+            result = results.pop(entry.seq, None)
+            if result is not None and dests:
+                record = dests[0]
+                self.values[record.file][record.new_ptag] = result
             for record in dests:
                 # Writeback, then wakeup of the consumers waiting on it.
                 file_cls = record.file

@@ -17,7 +17,7 @@ old monolithic ``Core``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..branch import BranchUnit
 from ..frontend import (
@@ -46,8 +46,7 @@ class StoreRecord:
     """In-flight store: address/value known at issue, memory written at commit.
 
     ``words`` holds a (word-aligned addr, value) pair per word an issued
-    correct-path store writes; the value is ``None`` unless the core
-    executes values.
+    correct-path store writes.
     """
 
     __slots__ = ("seq", "issued", "words")
@@ -55,7 +54,7 @@ class StoreRecord:
     def __init__(self, seq: int):
         self.seq = seq
         self.issued = False
-        self.words: List[Tuple[int, Optional[int]]] = []
+        self.words: List[Tuple[int, int]] = []
 
 
 def store_word_addrs(entry: ROBEntry) -> Tuple[int, ...]:
@@ -116,9 +115,12 @@ class PipelineState:
 
     # Value execution.  ``mem_values`` holds the words committed since
     # reset; loads fall back to ``trace.program.data``, which is shared
-    # and never written.
+    # and never written.  ``start_regs`` are the architectural registers
+    # the core started from (per file, in SRT-slot order), or ``None``
+    # for the all-zero reset state.
     values: Dict[RegClass, list] = field(default_factory=dict)
     mem_values: Dict[int, int] = field(default_factory=dict)
+    start_regs: Optional[Dict[RegClass, Tuple]] = None
 
     # Observation / control
     probes: Optional[object] = None  # ProbeManager, or None when unprobed
@@ -150,14 +152,14 @@ class PipelineState:
                     del self.store_words[word]
 
     # -- architectural queries ---------------------------------------------------
-    def architectural_state(self) -> ArchState:
-        """Committed architectural state (requires value execution).
+    def architectural_state(self, words: Optional[Iterable[int]] = None
+                            ) -> ArchState:
+        """Committed architectural state, built for comparisons (the
+        end-of-run golden check, tests); the cycle loop never reads it.
 
-        Builds the full memory image (the data image overlaid by the
-        committed stores) for comparison; the simulation never calls it.
+        Memory is the full image (the data image overlaid by the
+        committed stores) or, given *words*, only those addresses.
         """
-        if not self.config.execute_values:
-            raise RuntimeError("architectural_state requires execute_values=True")
         unit = self.rename_unit
         int_rat = unit.files[RegClass.INT].rat
         vec_rat = unit.files[RegClass.VEC].rat
@@ -169,8 +171,8 @@ class PipelineState:
             flags=int_values[int_rat.read(FLAGS.srt_slot)],
             # Canonical form (zero words dropped) — the same helper the
             # golden-model comparisons apply to the emulator's state.
-            memory=canonical_memory(memory_image(self.trace.program.data,
-                                                 self.mem_values)),
+            memory=canonical_memory(memory_image(
+                self.trace.program.data, self.mem_values, words)),
         )
 
     def check_conservation(self) -> None:
@@ -211,6 +213,8 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
     to this core alone (a second use of the checkpoint raises), and
     primes the architectural registers through the initial RAT mapping,
     so the window's value execution continues exactly from the prefix.
+    The state keeps those registers as ``start_regs``: the end-of-run
+    golden check replays the window from them.
     """
     rename_unit = RenameUnit(
         int_size=config.int_rf_size,
@@ -228,9 +232,11 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
         memory = MemoryHierarchy(config.memory)
         prewarm_code_image(config, memory, trace.program)
         mem_values: Dict[int, int] = {}
+        start_regs = None
     else:
         branch_unit, memory, mem_values = warmup.take()
-        for file, arch_values in warmup.regs.items():
+        start_regs = warmup.regs
+        for file, arch_values in start_regs.items():
             rat = rename_unit.files[file].rat
             file_values = values[file]
             for slot, value in enumerate(arch_values):
@@ -253,4 +259,5 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
         },
         values=values,
         mem_values=mem_values,
+        start_regs=start_regs,
     )

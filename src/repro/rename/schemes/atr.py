@@ -126,7 +126,8 @@ class AtrScheme(ConsumerTrackingScheme):
                 )
 
     def _not_claimed(self, entry, record, cycle: int) -> None:
-        """Hook for the combined scheme (registers with nonspec-ER)."""
+        """A previous ptag ATR cannot claim; the combined scheme hands it
+        to non-speculative release (:class:`~.nonspec.NonSpecRelease`)."""
 
     # -- release triggers -----------------------------------------------------------------
     def _count_reached_zero(self, file_cls: RegClass, ptag: int, cycle: int) -> None:

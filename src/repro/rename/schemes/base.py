@@ -122,11 +122,14 @@ class ReleaseScheme:
     def __init__(self):
         self.stats = SchemeStats()
         self.unit: RenameUnit = None  # type: ignore[assignment]
-        #: Optional callback(file_cls, ptag) fired on every *early* release;
-        #: used by the register-event log and by tests observing releases.
+        #: Callback(file_cls, ptag) fired on every *early* release.  The
+        #: core sets it to its probe dispatcher while a probe subscribes to
+        #: ``early_release`` (the register-event log, the sanitizer, the
+        #: static oracles), and to None otherwise.
         self.release_listener = None
-        #: Optional callback(file_cls, ptag) fired when an atomic-region
-        #: scheme claims a previous ptag (ATR takes ownership of the free).
+        #: Callback(file_cls, ptag) fired when an atomic-region scheme
+        #: claims a previous ptag (ATR takes ownership of the free); set
+        #: by the core the same way, for ``claim`` subscribers.
         self.claim_listener = None
 
     def attach(self, unit: RenameUnit) -> None:

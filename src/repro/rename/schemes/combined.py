@@ -12,14 +12,17 @@ separate bit so bulk marking does not destroy the counts nonspec-ER needs
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
 from ...isa import RegClass
 from .atr import AtrScheme
+from .nonspec import NonSpecRelease
 
 
-class CombinedScheme(AtrScheme):
-    """ATR for atomic regions, nonspec-ER for everything else."""
+class CombinedScheme(NonSpecRelease, AtrScheme):
+    """ATR for atomic regions, nonspec-ER for everything else.
+
+    Previous mappings ATR does not claim reach :class:`NonSpecRelease`
+    through ATR's ``_not_claimed`` hook.
+    """
 
     name = "combined"
     uses_precommit = True
@@ -30,11 +33,6 @@ class CombinedScheme(AtrScheme):
             debug_checks=debug_checks,
             restore_counts_on_flush=True,
         )
-        self._redefiner: Dict[Tuple[RegClass, int], tuple] = {}
-
-    # -- rename: unclaimed prevs fall through to nonspec tracking ----------------
-    def _not_claimed(self, entry, record, cycle: int) -> None:
-        self._redefiner[(record.file, record.release_prev)] = (entry, record)
 
     # -- release triggers ---------------------------------------------------------
     def _count_reached_zero(self, file_cls: RegClass, ptag: int, cycle: int) -> None:
@@ -56,47 +54,3 @@ class CombinedScheme(AtrScheme):
             self._atr_release(file_cls, ptag)
             return
         self._try_nonspec(file_cls, ptag)
-
-    def _try_nonspec(self, file_cls: RegClass, ptag: int) -> None:
-        redefiner = self._redefiner.get((file_cls, ptag))
-        if redefiner is None:
-            return
-        entry, record = redefiner
-        if entry.precommitted and not entry.squashed and record.release_prev == ptag:
-            self._nonspec_release(file_cls, record)
-
-    def on_precommit(self, entry, cycle: int) -> None:
-        for record in entry.dests:
-            ptag = record.release_prev
-            if ptag is None:
-                continue
-            prt = self.unit.files[record.file].prt
-            if prt.consumers(ptag) == 0 and prt.is_written(ptag):
-                self._nonspec_release(record.file, record)
-
-    def _nonspec_release(self, file_cls: RegClass, record) -> None:
-        ptag = record.release_prev
-        record.release_prev = None
-        self._redefiner.pop((file_cls, ptag), None)
-        file = self.unit.files[file_cls]
-        file.prt.entries[ptag].early_released = True
-        file.freelist.free(ptag)
-        self.stats.nonspec_frees += 1
-        self._notify_release(file_cls, ptag)
-
-    # -- commit / flush ------------------------------------------------------------
-    def on_commit(self, entry, cycle: int) -> None:
-        for record in entry.dests:
-            if record.release_prev is not None:
-                self._redefiner.pop((record.file, record.release_prev), None)
-        super().on_commit(entry, cycle)
-
-    def on_flush(self, flushed: List, cycle: int) -> None:
-        for entry in flushed:
-            for record in entry.dests:
-                if record.release_prev is not None:
-                    key = (record.file, record.release_prev)
-                    registered = self._redefiner.get(key)
-                    if registered is not None and registered[0] is entry:
-                        del self._redefiner[key]
-        super().on_flush(flushed, cycle)

@@ -18,12 +18,13 @@ timing-only faults —
 * **execution jitter**: per-instruction latency noise reordering
   completions;
 
-— then runs the cycle core with the online sanitizer attached and
-differentially verifies the committed architectural state against the
-functional emulator.  A timing fault that changes architectural results
-(or trips the sanitizer, or breaks free-list conservation) is a
-correctness bug; the run's :class:`~repro.harness.CellResult` comes back
-with ``error`` holding the violation and its pipeline snapshot.
+— then runs the cycle core with the online sanitizer attached.  Like
+every run, it ends with the core's conservation and golden-state checks
+(:meth:`~repro.pipeline.Core.check_golden_state`).  A timing fault that
+changes architectural results (or trips the sanitizer, or breaks
+free-list conservation) is a correctness bug; the run's
+:class:`~repro.harness.CellResult` comes back with ``error`` holding the
+violation and its pipeline snapshot.
 
 Everything is derived from ``ChaosSpec`` via ``random.Random`` seeded
 with a stable string, so a failing cell replays bit-identically from its
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..branch import Prediction
-from ..frontend import canonical_state, final_state
 from ..harness.jobs import CellResult
 from ..harness.spec import register_spec_type
 from ..memory import HierarchyConfig
@@ -130,8 +130,6 @@ def chaos_config(spec: ChaosSpec, rng: random.Random) -> CoreConfig:
         scheme=spec.scheme,
         redefine_delay=spec.redefine_delay,
         memory=memory,
-        execute_values=True,
-        conservation_check=True,
         check_invariants=True,
     ).with_rf_size(rf_size)
     config.validate()
@@ -237,7 +235,6 @@ def run_chaos_cell(spec: ChaosSpec) -> CellResult:
     knobs = INTENSITIES[spec.intensity]
     rng = _chaos_rng(spec)
     trace = build_trace(spec.benchmark, spec.instructions)
-    golden = final_state(trace.program, max_instructions=len(trace.entries))
 
     config = chaos_config(spec, rng)
     core = ChaosCore(config, trace, rng,
@@ -268,12 +265,7 @@ def run_chaos_cell(spec: ChaosSpec) -> CellResult:
     error = None
     try:
         core.run()
-        diverged = canonical_state(core.architectural_state()).diff(
-            canonical_state(golden))
-        if diverged:
-            detail = "\n".join(f"  {line}" for line in diverged)
-            error = (f"architectural divergence from golden model under "
-                     f"timing faults ({perturbation}):\n{detail}")
+    # AssertionError covers the run's closing GoldenStateError.
     except (InvariantViolation, DeadlockError, RenameError,
             AssertionError) as exc:
         error = f"{type(exc).__name__} under {perturbation}:\n{exc}"

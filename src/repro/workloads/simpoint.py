@@ -119,12 +119,13 @@ def pick_simpoints(trace: Trace, interval: int = 2_000, max_k: int = 6,
 
 
 def slice_trace(trace: Trace, simpoint: SimPoint) -> Trace:
-    """The sub-trace covered by *simpoint* (entries re-sequenced)."""
+    """The sub-trace covered by *simpoint* (entries re-sequenced, each
+    with its recorded result, which the window's golden check replays)."""
     entries = trace.entries[simpoint.start: simpoint.start + simpoint.length]
     resequenced = [
         type(entry)(
             seq=i, pc=entry.pc, instr=entry.instr, next_pc=entry.next_pc,
-            taken=entry.taken, mem_addr=entry.mem_addr,
+            taken=entry.taken, mem_addr=entry.mem_addr, result=entry.result,
         )
         for i, entry in enumerate(entries)
     ]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.frontend import run_program
 from repro.isa import assemble
+from repro.rename.schemes import SCHEMES, AtrScheme
 
 
 @pytest.fixture(scope="session")
@@ -144,3 +145,34 @@ ALL_SOURCES = {
     "atomic": ATOMIC_SRC,
     "call": CALL_SRC,
 }
+
+
+class BuggyAtr(AtrScheme):
+    """ATR with the safety guards removed: claims and frees the previous
+    mapping at rename, ignoring outstanding consumers and value readiness."""
+
+    name = "buggy_atr"
+
+    def post_rename(self, entry, cycle):
+        for record in entry.dests:
+            ptag = record.release_prev
+            if ptag is None:
+                continue
+            file = self.unit.files[record.file]
+            if file.prt.is_no_early_release(ptag):
+                continue
+            record.release_prev = None
+            self.stats.atr_claims += 1
+            file.prt.mark_redefined(ptag, cycle)
+            self._atr_release(record.file, ptag)  # guards skipped
+
+
+@pytest.fixture
+def buggy_atr_scheme():
+    """Register :class:`BuggyAtr` as scheme ``buggy_atr`` (flush-walk
+    debug checks off) for the test's duration, so configs, tiered runs
+    and sweep cells can name it."""
+    SCHEMES.register(BuggyAtr.name, lambda redefine_delay=0, debug_checks=True:
+                     BuggyAtr(debug_checks=False))
+    yield BuggyAtr.name
+    SCHEMES.unregister(BuggyAtr.name)

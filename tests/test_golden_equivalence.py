@@ -5,19 +5,26 @@ The cycle simulator computes every correct-path result through *physical*
 registers.  If any scheme frees a register too early, reallocation
 corrupts a value and the final architectural state diverges from the
 functional emulator.  Every scheme must match, on every workload shape,
-under register starvation and heavy misprediction."""
+under register starvation and heavy misprediction.  Every ``Core.run``
+also ends with the same comparison against a replay of its own trace
+(``Core.check_golden_state``), so detailed, tiered and sweep runs all
+fail loudly on a broken scheme."""
 
 import dataclasses
+import re
 
 import pytest
 
 from repro.frontend import DynamicInstruction, Trace, final_state, run_program
+from repro.harness import CellSpec, sweep
 from repro.isa import AssemblyError, assemble
-from repro.pipeline import Core, fast_test_config
+from repro.isa.semantics import MASK64
+from repro.pipeline import Core, GoldenStateError, fast_test_config, golden_cove_config
 from repro.rename.schemes import SCHEME_NAMES
-from repro.workloads import PROFILES, synthesize
+from repro.tiered import run_tiered
+from repro.workloads import PROFILES, build_trace, synthesize
 
-from tests.conftest import ALL_SOURCES
+from tests.conftest import ALL_SOURCES, BuggyAtr
 
 SCHEMES = list(SCHEME_NAMES)
 
@@ -91,28 +98,21 @@ def test_kernel_slice(scheme):
     _check(program, fast_test_config(rf_size=28, scheme=scheme))
 
 
-class _Unreadable:
-    """Stands in for a recorded result: any use of it as a value fails."""
-
-    def _fail(self, *args):
-        raise AssertionError("the cycle core used a trace entry's recorded result")
-
-    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _fail
-    __and__ = __rand__ = __or__ = __ror__ = __xor__ = __rxor__ = _fail
-    __lshift__ = __rlshift__ = __rshift__ = __rrshift__ = _fail
-    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = __neg__ = _fail
-    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _fail
-    __bool__ = __index__ = __int__ = __iter__ = __getitem__ = __len__ = _fail
-    __hash__ = None
+def _wrong(result):
+    """*result* off by one: each int +1 mod 2**64, each vector lane +1."""
+    if result is None:
+        return None
+    if isinstance(result, tuple):
+        return tuple((lane + 1) & MASK64 for lane in result)
+    return (result + 1) & MASK64
 
 
-def _without_results(trace):
-    """A private copy of *trace* whose recorded results fail any use.  A
+def _with_wrong_results(trace):
+    """A private copy of *trace* whose recorded results are all wrong.  A
     copy, because traces are shared through the trace cache and
     fast-forward replays their results."""
-    unreadable = _Unreadable()
     entries = [DynamicInstruction(e.seq, e.pc, e.instr, e.next_pc, e.taken,
-                                  e.mem_addr, unreadable)
+                                  e.mem_addr, _wrong(e.result))
                for e in trace.entries]
     return Trace(trace.program, entries, trace.name)
 
@@ -120,9 +120,11 @@ def _without_results(trace):
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("source", sorted(ALL_SOURCES) + ["503.bwaves_r"])
 def test_core_computes_its_own_values(scheme, source):
-    """Golden equivalence holds when the core cannot read the values the
-    emulator recorded: it computes every result through physical
-    registers, so the comparison checks register release."""
+    """The core computes every result through physical registers, never
+    from the trace.  On a copy whose recorded results are all wrong, the
+    end-of-run check must report the mismatch, and the committed state
+    must still equal an independent emulator's.  A core that took any
+    value from the trace fails one of the two."""
     if source in ALL_SOURCES:
         program = assemble(ALL_SOURCES[source], name=source)
     else:
@@ -130,11 +132,41 @@ def test_core_computes_its_own_values(scheme, source):
 
         program = builder_for(source)(iterations=1)
     golden = final_state(program)
-    trace = _without_results(run_program(program))
+    trace = _with_wrong_results(run_program(program))
     core = Core(fast_test_config(rf_size=40, scheme=scheme), trace)
-    core.run()
+    with pytest.raises(GoldenStateError):
+        core.run()
     mismatches = core.architectural_state().diff(golden, limit=32)
     assert not mismatches, "\n".join(mismatches)
+
+
+class TestEveryRunEndsWithTheGoldenCheck:
+    """BuggyAtr frees the previous mapping at rename, ignoring consumers
+    and value readiness.  On x264 a reallocation then corrupts live
+    values without tripping any scheme-internal assertion, so only the
+    end-of-run golden check can stop the run from publishing numbers."""
+
+    def test_detailed_run_raises(self):
+        config = dataclasses.replace(golden_cove_config(rf_size=64, scheme="atr"),
+                                     scheme_debug_checks=False)
+        core = Core(config, build_trace("525.x264_r", 5000),
+                    scheme=BuggyAtr(debug_checks=False))
+        with pytest.raises(GoldenStateError) as excinfo:
+            core.run()
+        message = str(excinfo.value)
+        assert message.startswith("525.x264_r: committed state differs")
+        assert re.search(r"^  r\d+: 0x[0-9a-f]+ != 0x[0-9a-f]+$", message, re.M)
+
+    def test_tiered_run_raises(self, buggy_atr_scheme):
+        config = golden_cove_config(rf_size=64, scheme=buggy_atr_scheme)
+        with pytest.raises(GoldenStateError, match=r"^525\.x264_r@\d+: "):
+            run_tiered(config, build_trace("525.x264_r", 20_000), seed=1)
+
+    def test_sweep_cell_fails(self, buggy_atr_scheme):
+        spec = CellSpec("525.x264_r", 64, buggy_atr_scheme, 5000)
+        report = sweep([spec], jobs=1, store=None)
+        assert spec not in report.results
+        assert [failure.spec for failure in report.failures] == [spec]
 
 
 @pytest.mark.parametrize("value", ["-1", "0x1FFFFFFFFFFFFFFFF"])

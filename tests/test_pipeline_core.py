@@ -175,13 +175,6 @@ class TestEndConditions:
         stats = core.run()
         assert stats.committed == 50
 
-    def test_architectural_state_requires_values(self, loop_trace):
-        config = dataclasses.replace(fast_test_config(), execute_values=False)
-        core = Core(config, loop_trace)
-        core.run()
-        with pytest.raises(RuntimeError):
-            core.architectural_state()
-
 
 class TestConfig:
     def test_golden_cove_matches_table1(self):

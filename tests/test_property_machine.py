@@ -81,11 +81,7 @@ def test_scheme_ipc_ordering(profile, rf_size):
     trace = run_program(program, max_instructions=2000)
 
     def ipc(scheme):
-        config = dataclasses.replace(
-            fast_test_config(rf_size=rf_size, scheme=scheme),
-            execute_values=False,
-        )
-        core = Core(config, trace)
+        core = Core(fast_test_config(rf_size=rf_size, scheme=scheme), trace)
         return core.run().ipc
 
     base = ipc("baseline")

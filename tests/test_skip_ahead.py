@@ -14,7 +14,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.frontend.emulator import canonical_state
 from repro.pipeline import Core, DeadlockError, fast_test_config
 from repro.validate.chaos import ChaosCore, ChaosSpec, _chaos_rng, chaos_config
 from repro.workloads import ALL_BENCHMARKS, build_trace
@@ -38,7 +37,7 @@ def _fingerprint(core, stats):
         stats.to_dict(),
         core.scheme.stats.to_dict(),
         core.state.rename_unit.stall_cycles,
-        canonical_state(core.architectural_state()),
+        core.architectural_state(),
     )
 
 

@@ -8,6 +8,8 @@ replay guarantee a failing campaign cell depends on.
 import pytest
 
 from repro.harness import decode_cell_result, encode_cell_result
+from repro.isa import Opcode
+from repro.isa.semantics import MASK64
 from repro.rename.schemes import SCHEME_NAMES
 from repro.validate import (
     ChaosSpec,
@@ -62,6 +64,25 @@ class TestErrorField:
         result.error = "synthetic violation text"
         decoded = decode_cell_result(encode_cell_result(result))
         assert decoded.error == "synthetic violation text"
+
+    def test_golden_mismatch_is_a_violation(self, monkeypatch):
+        """A value the core computes wrong trips neither the sanitizer nor
+        conservation; the run's closing golden check reports it in the
+        cell's ``error``, as a violation rather than a harness failure."""
+        import repro.pipeline.stages.execute as execute
+
+        compute = execute.compute
+
+        def add_off_by_one(instr, srcs):
+            value = compute(instr, srcs)
+            return (value + 1) & MASK64 if instr.opcode is Opcode.ADD else value
+
+        monkeypatch.setattr(execute, "compute", add_off_by_one)
+        result = run_chaos_cell(ChaosSpec(benchmark="mcf", scheme="atr",
+                                          rf_size=28, instructions=500, seed=3))
+        assert result.error is not None
+        assert result.error.startswith("GoldenStateError under rf=")
+        assert "505.mcf_r: committed state differs" in result.error
 
     def test_pre_error_payloads_still_decode(self):
         """Store entries persisted before the error field existed."""

@@ -19,10 +19,10 @@ from repro.pipeline import (
     InterruptController,
     fast_test_config,
 )
-from repro.rename.schemes import SCHEME_NAMES, AtrScheme
+from repro.rename.schemes import SCHEME_NAMES
 from repro.validate import InvariantViolation, format_snapshot, pipeline_snapshot
 
-from tests.conftest import ALL_SOURCES
+from tests.conftest import ALL_SOURCES, BuggyAtr
 
 SCHEMES = list(SCHEME_NAMES)
 
@@ -63,8 +63,8 @@ class TestCleanRuns:
 
 
 # A register redefined while a long-latency mul still gates its consumer:
-# correct ATR must wait for the consumer to issue; the buggy scheme below
-# frees the register immediately at redefinition.
+# correct ATR must wait for the consumer to issue; the buggy scheme
+# (tests.conftest.BuggyAtr) frees the register immediately at redefinition.
 BUGGY_SRC = """
     movi r6, 7
     movi r7, 9
@@ -74,26 +74,6 @@ BUGGY_SRC = """
     movi r1, 9
     halt
 """
-
-
-class BuggyAtr(AtrScheme):
-    """ATR with the safety guards removed: claims and frees the previous
-    mapping at rename, ignoring outstanding consumers and value readiness."""
-
-    name = "buggy_atr"
-
-    def post_rename(self, entry, cycle):
-        for record in entry.dests:
-            ptag = record.release_prev
-            if ptag is None:
-                continue
-            file = self.unit.files[record.file]
-            if file.prt.is_no_early_release(ptag):
-                continue
-            record.release_prev = None
-            self.stats.atr_claims += 1
-            file.prt.mark_redefined(ptag, cycle)
-            self._atr_release(record.file, ptag)  # guards skipped
 
 
 class TestBrokenSchemeCaught:
@@ -118,9 +98,10 @@ class TestBrokenSchemeCaught:
         assert "pipeline snapshot" in text  # embedded diagnostics
 
     def test_without_sanitizer_the_bug_reaches_final_state(self):
-        """Baseline for the test above: the only other way this bug shows
-        up is as silent corruption (or a scheme-internal assertion), which
-        is exactly what the online checker preempts."""
+        """Baseline for the test above: nothing reallocates the freed
+        register here, so the run completes and even the end-of-run golden
+        check sees no corruption.  Only the online checker sees the use
+        after release itself."""
         program = assemble(BUGGY_SRC, name="buggy")
         trace = run_program(program)
         config = dataclasses.replace(
