@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Quickstart: simulate one workload under every release scheme.
 
-Builds the mcf stand-in kernel, runs the Golden-Cove-like core with a
+Builds the deepsjeng stand-in kernel, runs the Golden-Cove-like core with a
 64-entry register file under the four schemes the paper evaluates, and
 prints IPC plus where every register release came from.
 

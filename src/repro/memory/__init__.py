@@ -2,10 +2,10 @@
 
 from .cache import Cache, CacheStats
 from .hierarchy import DramModel, HierarchyConfig, MemoryHierarchy
-from .prefetch import CompositePrefetcher, NextLinePrefetcher, StridePrefetcher
+from .prefetch import Prefetcher
 
 __all__ = [
     "Cache", "CacheStats",
     "MemoryHierarchy", "HierarchyConfig", "DramModel",
-    "NextLinePrefetcher", "StridePrefetcher", "CompositePrefetcher",
+    "Prefetcher",
 ]

@@ -5,6 +5,10 @@ installs blocks on fills.  Replacement is true LRU per set; writebacks are
 modeled by tracking dirty state (they cost DRAM bandwidth only in the
 statistics, not extra latency, matching Scarab's default L1/L2 writeback
 treatment).
+
+The probe and fill logic works on block numbers (address >> line shift)
+with positional arguments, which is how the hierarchy calls it on every
+access; ``lookup``, ``contains`` and ``fill`` are address-taking wrappers.
 """
 
 from __future__ import annotations
@@ -63,51 +67,53 @@ class Cache:
         self._prefetched: Set[int] = set()  # filled by a prefetch, not yet demand-hit
         self.stats = CacheStats()
 
-    def block_of(self, addr: int) -> int:
-        return addr >> self._line_shift
-
-    def lookup(self, addr: int, is_write: bool = False, update_stats: bool = True) -> bool:
-        """Probe for *addr*; on hit, update LRU (and dirty on writes).
-
-        ``update_stats=False`` keeps the LRU and dirty updates but counts
-        nothing and leaves a prefetched block's mark for its first
-        counted hit.
-        """
-        block = addr >> self._line_shift
+    # -- by block number (the hierarchy's hot path) ------------------------------
+    def probe_block(self, block: int, is_write: bool) -> bool:
+        """Counted probe for *block*; on hit, update LRU (and dirty on
+        writes) and claim a prefetched block's mark."""
         blocks = self._sets.get(block % self.num_sets)
         stats = self.stats
-        if update_stats:
-            stats.accesses += 1
+        stats.accesses += 1
         if blocks is not None and block in blocks:
             if blocks[-1] != block:
                 blocks.remove(block)
                 blocks.append(block)
             if is_write:
                 self._dirty.add(block)
-            if update_stats:
-                stats.hits += 1
-                prefetched = self._prefetched
-                if block in prefetched:
-                    prefetched.remove(block)
-                    stats.prefetch_hits += 1
+            stats.hits += 1
+            prefetched = self._prefetched
+            if block in prefetched:
+                prefetched.remove(block)
+                stats.prefetch_hits += 1
             return True
-        if update_stats:
-            stats.misses += 1
+        stats.misses += 1
         return False
 
-    def contains(self, addr: int) -> bool:
+    def touch_block(self, block: int) -> bool:
+        """Uncounted probe for *block*: on hit, update LRU only.
+
+        Counts nothing and leaves a prefetched block's mark for its first
+        counted hit.
+        """
+        blocks = self._sets.get(block % self.num_sets)
+        if blocks is not None and block in blocks:
+            if blocks[-1] != block:
+                blocks.remove(block)
+                blocks.append(block)
+            return True
+        return False
+
+    def has_block(self, block: int) -> bool:
         """Probe without side effects."""
-        block = addr >> self._line_shift
         blocks = self._sets.get(block % self.num_sets)
         return blocks is not None and block in blocks
 
-    def fill(self, addr: int, dirty: bool = False, prefetched: bool = False) -> Optional[int]:
-        """Install the block containing *addr*.
+    def fill_block(self, block: int, dirty: bool, prefetched: bool) -> Optional[int]:
+        """Install *block*.
 
         Returns the evicted block's base address if a dirty block was
         written back, else ``None``.
         """
-        block = addr >> self._line_shift
         index = block % self.num_sets
         blocks = self._sets.get(index)
         if blocks is None:
@@ -135,6 +141,19 @@ class Cache:
             self._prefetched.add(block)
             self.stats.prefetch_fills += 1
         return writeback
+
+    # -- by address ----------------------------------------------------------------
+    def lookup(self, addr: int, is_write: bool = False) -> bool:
+        """Counted probe for the block containing *addr*."""
+        return self.probe_block(addr >> self._line_shift, is_write)
+
+    def contains(self, addr: int) -> bool:
+        """Probe without side effects."""
+        return self.has_block(addr >> self._line_shift)
+
+    def fill(self, addr: int, dirty: bool = False, prefetched: bool = False) -> Optional[int]:
+        """Install the block containing *addr* (see :meth:`fill_block`)."""
+        return self.fill_block(addr >> self._line_shift, dirty, prefetched)
 
     def invalidate(self, addr: int) -> None:
         block = addr >> self._line_shift

@@ -14,10 +14,11 @@ DDR4-3200-class DRAM).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Tuple
 
 from .cache import Cache
-from .prefetch import CompositePrefetcher
+from .prefetch import Prefetcher
 
 
 @dataclass
@@ -74,7 +75,14 @@ class HierarchyConfig:
 
 
 class MemoryHierarchy:
-    """Three-level hierarchy with MSHR merging and data prefetching."""
+    """Three-level hierarchy with MSHR merging and data prefetching.
+
+    The MSHR file is a dict (block -> completion cycle of the outstanding
+    fill) with a min-heap of ``(completion, block)`` beside it, so an
+    access retires exactly the fills that are due and a full file reads
+    its oldest completion from the heap head; the two only change
+    together (:meth:`clear_mshr` empties both).
+    """
 
     def __init__(self, config: Optional[HierarchyConfig] = None):
         self.config = config or HierarchyConfig()
@@ -84,100 +92,117 @@ class MemoryHierarchy:
         self.l2 = Cache("L2", c.l2_size, c.l2_ways, c.line_bytes, c.l2_latency)
         self.llc = Cache("LLC", c.llc_size, c.llc_ways, c.line_bytes, c.llc_latency)
         self.dram = DramModel(latency=c.dram_latency)
-        self.prefetcher = CompositePrefetcher(line_bytes=c.line_bytes) if c.enable_prefetch else None
-        self._line_bytes = c.line_bytes
-        # MSHR: block -> completion cycle of the outstanding fill
+        self.prefetcher = Prefetcher(line_bytes=c.line_bytes) if c.enable_prefetch else None
+        self._line_shift = c.line_bytes.bit_length() - 1
         self._mshr: Dict[int, int] = {}
+        self._mshr_heap: List[Tuple[int, int]] = []
         self.mshr_merges = 0
         self.mshr_stalls = 0
 
+    def clear_mshr(self) -> None:
+        """Forget every outstanding fill (all have logically arrived)."""
+        self._mshr.clear()
+        self._mshr_heap.clear()
+
     # -- internals -------------------------------------------------------------
-    def _reap_mshr(self, cycle: int) -> None:
-        done = [b for b, when in self._mshr.items() if when <= cycle]
-        for b in done:
-            del self._mshr[b]
-
-    def _miss_path(self, cycle: int, addr: int, l1: Cache, is_write: bool) -> int:
-        """Latency (beyond L1 access) of filling *addr* from L2/LLC/DRAM."""
-        if self.l2.lookup(addr, False):
-            latency = self.l2.latency
-        elif self.llc.lookup(addr, False):
-            latency = self.llc.latency
-            self.l2.fill(addr)
-        else:
-            self.llc.stats.accesses += 1
-            self.llc.stats.misses += 1
-            latency = self.llc.latency + self.dram.access(addr)
-            self.llc.fill(addr)
-            self.l2.fill(addr)
-        l1.fill(addr, dirty=is_write)
-        return latency
-
-    def _access(self, cycle: int, addr: int, l1: Cache, is_write: bool, pc: int) -> int:
+    def _access(self, cycle: int, addr: int, l1: Cache, is_write: bool) -> int:
         mshr = self._mshr
-        if mshr:
-            self._reap_mshr(cycle)
-        block = addr // self._line_bytes
-        if l1.lookup(addr, is_write):
+        heap = self._mshr_heap
+        while heap and heap[0][0] <= cycle:
+            del mshr[heappop(heap)[1]]
+        block = addr >> self._line_shift
+        if l1.probe_block(block, is_write):
             # Fill-at-access installs lines immediately; an MSHR entry for
             # the block means the data is still in flight, so a "hit" on
             # it cannot complete before the fill arrives.
-            pending = mshr.get(block, 0)
-            if pending > cycle + l1.latency:
-                self.mshr_merges += 1
-            completion = max(cycle + l1.latency, pending)
-        else:
+            completion = cycle + l1.latency
             pending = mshr.get(block)
-            if pending is not None:
+            if pending is not None and pending > completion:
                 self.mshr_merges += 1
-                completion = max(pending, cycle + l1.latency)
-            else:
-                extra = 0
-                if len(mshr) >= self.config.mshr_entries:
-                    # MSHR full: serialize behind the oldest outstanding miss.
-                    self.mshr_stalls += 1
-                    oldest = min(mshr.values())
-                    extra = max(0, oldest - cycle)
-                latency = self._miss_path(cycle, addr, l1, is_write)
-                completion = cycle + l1.latency + latency + extra
-                mshr[block] = completion
-        if l1 is self.l1d and self.prefetcher is not None:
-            for pf_addr in self.prefetcher.observe(addr, pc):
-                self._prefetch(pf_addr, cycle)
+                completion = pending
+            return completion
+        pending = mshr.get(block)
+        if pending is not None:
+            # Merge with the fill in flight.  L1 is not filled here: when
+            # that fill is a prefetch, it installed the block in L2 and
+            # the LLC only (DESIGN.md, modeling decision 4).
+            self.mshr_merges += 1
+            completion = cycle + l1.latency
+            return pending if pending > completion else completion
+        extra = 0
+        if len(mshr) >= self.config.mshr_entries:
+            # MSHR full: serialize behind the oldest outstanding miss.
+            self.mshr_stalls += 1
+            extra = max(0, heap[0][0] - cycle)
+        # Miss path: fill from L2, the LLC or DRAM.
+        l2 = self.l2
+        llc = self.llc
+        if l2.probe_block(block, False):
+            latency = l2.latency
+        elif llc.probe_block(block, False):
+            latency = llc.latency
+            l2.fill_block(block, False, False)
+        else:
+            # Counted a second time on top of the probe's own count: a
+            # known quirk, kept so every pinned LLC counter holds.
+            llc.stats.accesses += 1
+            llc.stats.misses += 1
+            latency = llc.latency + self.dram.access(addr)
+            llc.fill_block(block, False, False)
+            l2.fill_block(block, False, False)
+        l1.fill_block(block, is_write, False)
+        completion = cycle + l1.latency + latency + extra
+        mshr[block] = completion
+        heappush(heap, (completion, block))
         return completion
 
-    def _prefetch(self, addr: int, cycle: int) -> None:
-        """Issue a prefetch of *addr* into L2.
+    def _prefetch(self, cycle: int, addr: int, pc: int) -> None:
+        """Train the prefetcher on an L1D access and issue its candidates
+        into L2.
 
-        The fill takes real time: the block is installed in the caches,
-        but an MSHR entry carries its availability cycle, so a demand
-        access arriving before the data does merges and pays the
-        remaining latency instead of hitting instantly.
+        A fill takes real time: the block is installed in the caches, but
+        an MSHR entry carries its availability cycle, so a demand access
+        arriving before the data does merges and pays the remaining
+        latency instead of hitting instantly.  A candidate already in
+        flight or in L2 does nothing.
         """
-        block = addr // self._line_bytes
-        if block in self._mshr or self.l2.contains(addr):
-            return
-        if self.llc.lookup(addr, is_write=False, update_stats=False):
-            latency = self.llc.latency
-        else:
-            latency = self.llc.latency + self.dram.access(addr)
-            self.llc.fill(addr, prefetched=True)
-        self.l2.fill(addr, prefetched=True)
-        if len(self._mshr) < self.config.mshr_entries:
-            self._mshr[block] = cycle + latency
+        shift = self._line_shift
+        mshr = self._mshr
+        l2 = self.l2
+        llc = self.llc
+        for candidate in self.prefetcher.observe(addr, pc):
+            block = candidate >> shift
+            if block in mshr or l2.has_block(block):
+                continue
+            if llc.touch_block(block):
+                latency = llc.latency
+            else:
+                latency = llc.latency + self.dram.access(candidate)
+                llc.fill_block(block, False, True)
+            l2.fill_block(block, False, True)
+            if len(mshr) < self.config.mshr_entries:
+                completion = cycle + latency
+                mshr[block] = completion
+                heappush(self._mshr_heap, (completion, block))
 
     # -- public API ----------------------------------------------------------
     def load(self, cycle: int, addr: int, pc: int = 0) -> int:
         """Data-available cycle for a load issued at *cycle*."""
-        return self._access(cycle, addr, self.l1d, is_write=False, pc=pc)
+        completion = self._access(cycle, addr, self.l1d, False)
+        if self.prefetcher is not None:
+            self._prefetch(cycle, addr, pc)
+        return completion
 
     def store(self, cycle: int, addr: int, pc: int = 0) -> int:
         """Completion cycle for a store issued (from the store buffer)."""
-        return self._access(cycle, addr, self.l1d, is_write=True, pc=pc)
+        completion = self._access(cycle, addr, self.l1d, True)
+        if self.prefetcher is not None:
+            self._prefetch(cycle, addr, pc)
+        return completion
 
     def fetch(self, cycle: int, addr: int) -> int:
         """Instruction-available cycle for a fetch of *addr*."""
-        return self._access(cycle, addr, self.l1i, is_write=False, pc=addr)
+        return self._access(cycle, addr, self.l1i, False)
 
     def stats_table(self) -> Dict[str, Dict[str, float]]:
         out = {}

@@ -80,11 +80,7 @@ class CommitStage(Stage):
             mem_values = self.mem_values
             for addr, value in record.words:
                 mem_values[addr] = value
-            try:
-                state.store_order.remove(entry.seq)
-            except ValueError:
-                pass
         state.drop_store_words(entry)
         state.sq_used -= 1
         if entry.mem_addr is not None:
-            self.memory.store(cycle, entry.mem_addr, pc=entry.pc)
+            self.memory.store(cycle, entry.mem_addr, entry.pc)

@@ -32,9 +32,7 @@ class ExecuteUnit:
     """Execution side effects + latency for one issued instruction."""
 
     def __init__(self, state):
-        self.state = state
         config = state.config
-        self.config = config
         self.lat_store = config.lat_store
         self.lat_forward = config.lat_forward
         self.l1d_latency = config.memory.l1d_latency
@@ -57,7 +55,7 @@ class ExecuteUnit:
         self.values = state.values
         self.results = state.results
         self.stores = state.stores
-        self.store_order = state.store_order
+        self.store_words = state.store_words
         self.mem_values = state.mem_values
         self.data = state.trace.program.data
 
@@ -125,25 +123,45 @@ class ExecuteUnit:
             self.results[entry.seq] = tuple(lanes) if is_vector else lanes[0]
         if not is_vector and len(forwarded) == word_count:
             return self.lat_forward
-        completion = self.memory.load(cycle, addr, pc=entry.pc)
+        completion = self.memory.load(cycle, addr, entry.pc)
         return max(1, completion - cycle)
 
     def _forward_from_stores(self, load_seq: int, addr: int,
                              word_count: int) -> Dict[int, int]:
-        """Youngest-older-store forwarding, per word."""
+        """Youngest-older-store forwarding, per word.
+
+        Each word walks the in-flight stores that write it (``store_words``,
+        oldest first) from the youngest, and takes its value from the
+        first older, issued store whose record holds the word: an issued
+        wrong-path store records no words and is passed over.
+        """
         out: Dict[int, int] = {}
-        wanted = {addr + i * WORD for i in range(word_count)}
+        store_words = self.store_words
         stores = self.stores
-        for store_seq in reversed(self.state.store_order):
-            if store_seq >= load_seq:
+        for i in range(word_count):
+            word_addr = addr + i * WORD
+            seqs = store_words.get(word_addr)
+            if seqs is None:
                 continue
-            record = stores[store_seq]
-            if not record.issued:
-                continue
-            for word_addr, value in record.words:
-                if word_addr in wanted and word_addr not in out:
+            for store_seq in reversed(seqs):
+                if store_seq >= load_seq:
+                    continue
+                record = stores[store_seq]
+                if not record.issued:
+                    continue
+                value = _value_of(record.words, word_addr)
+                if value is not None:
                     out[word_addr] = value
+                    break
         return out
+
+
+def _value_of(words, word_addr: int):
+    """The value a store record writes to *word_addr*, or ``None``."""
+    for written, value in words:
+        if written == word_addr:
+            return value
+    return None
 
 
 class ExecuteStage(Stage):

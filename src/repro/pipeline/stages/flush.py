@@ -145,8 +145,3 @@ class FlushStage(Stage):
             for record in entry.dests:
                 ptag_ready[record.file][record.new_ptag] = True
             state.results.pop(entry.seq, None)
-        if flushed:
-            flushed_seqs = {e.seq for e in flushed}
-            state.store_order[:] = [
-                s for s in state.store_order if s not in flushed_seqs
-            ]

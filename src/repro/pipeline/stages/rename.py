@@ -132,7 +132,6 @@ class RenameStage(Stage):
                 state.sq_used += 1
                 seq = entry.seq
                 self.stores[seq] = StoreRecord(seq)
-                state.store_order.append(seq)
                 store_words = self.store_words
                 for word in store_word_addrs(entry):
                     store_words.setdefault(word, []).append(seq)

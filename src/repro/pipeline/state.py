@@ -105,11 +105,11 @@ class PipelineState:
     lq_used: int = 0
     sq_used: int = 0
     stores: Dict[int, StoreRecord] = field(default_factory=dict)
-    store_order: List[int] = field(default_factory=list)
     # Oracle memory disambiguation: word address -> seqs of in-flight
-    # stores writing it.  Trace addresses are known at rename, so loads
-    # wait only for *conflicting* older stores (perfect memory
-    # dependence prediction, as in trace-driven Scarab).
+    # stores writing it, oldest first.  Trace addresses are known at
+    # rename, so loads wait only for *conflicting* older stores (perfect
+    # memory dependence prediction, as in trace-driven Scarab), and
+    # forward from the youngest older issued one.
     store_words: Dict[int, List[int]] = field(default_factory=dict)
     results: Dict[int, object] = field(default_factory=dict)
 

@@ -167,7 +167,7 @@ def fast_forward(config: CoreConfig, trace: Trace,
         # Pseudo-time ends at the window boundary: every outstanding fill
         # has logically arrived, so the detailed window (which restarts
         # the clock at 0) must not inherit pseudo-cycle completion times.
-        warm_memory._mshr.clear()
+        warm_memory.clear_mshr()
         snapshots.append(WarmupState(
             instructions=executed,
             data=trace.program.data,

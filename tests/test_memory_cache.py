@@ -198,7 +198,7 @@ class _ReferenceCache:
 
 
 _OPS = st.lists(st.tuples(
-    st.sampled_from(["lookup", "fill", "invalidate", "contains"]),
+    st.sampled_from(["lookup", "touch", "fill", "invalidate", "contains"]),
     # 8 blocks over 2 sets: conflicts evict and re-hit blocks often.
     st.integers(min_value=0, max_value=8 * 64 - 1),
     st.booleans(), st.booleans()), min_size=10, max_size=200)
@@ -207,24 +207,32 @@ _OPS = st.lists(st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(ways=st.sampled_from([1, 2, 4]), ops=_OPS)
 def test_flat_tag_store_matches_ordered_dict_reference(ways, ops):
-    """Random lookups (writes, uncounted probes), fills (dirty,
-    prefetched) and invalidations: every return value, every counter and
-    the resident count agree with the reference model."""
+    """Random counted probes (writes), uncounted probes, fills (dirty,
+    prefetched) and invalidations, by address and by block number: every
+    return value, every counter and the resident count agree with the
+    reference model."""
     size = 2 * ways * 64  # 2 sets
     cache = Cache("T", size, ways, 64, 3)
     reference = _ReferenceCache(size, ways, 64)
     for kind, addr, first, second in ops:
+        block = addr >> 6
         if kind == "lookup":
-            args = dict(is_write=first, update_stats=second)
-            assert cache.lookup(addr, **args) == reference.lookup(addr, **args)
+            hit = (cache.probe_block(block, first) if second
+                   else cache.lookup(addr, is_write=first))
+            assert hit == reference.lookup(addr, is_write=first)
+        elif kind == "touch":
+            assert cache.touch_block(block) == \
+                reference.lookup(addr, update_stats=False)
         elif kind == "fill":
             args = dict(dirty=first, prefetched=second)
-            assert cache.fill(addr, **args) == reference.fill(addr, **args)
+            assert cache.fill_block(block, first, second) == \
+                reference.fill(addr, **args)
         elif kind == "invalidate":
             cache.invalidate(addr)
             reference.invalidate(addr)
         else:
-            assert cache.contains(addr) == reference.contains(addr)
+            present = cache.has_block(block) if first else cache.contains(addr)
+            assert present == reference.contains(addr)
         assert asdict(cache.stats) == asdict(reference.stats)
         assert cache.resident_blocks == reference.resident_blocks
         # Same blocks per set in the same LRU -> MRU order, same marks.
@@ -239,16 +247,18 @@ def test_flat_tag_store_matches_ordered_dict_reference(ways, ops):
 
 class TestUncountedProbe:
     def test_keeps_lru_and_dirty_but_counts_nothing(self):
+        """``touch_block``, the prefetch filter's LLC probe."""
         c = _cache(size=128, ways=2, line=64)  # one set
-        c.fill(0, prefetched=True)
+        c.fill(0, dirty=True, prefetched=True)
         c.fill(64)
         before = asdict(c.stats)
-        assert c.lookup(0, is_write=True, update_stats=False)
+        assert c.touch_block(0)
+        assert not c.touch_block(2)
         assert asdict(c.stats) == before
         assert c.fill(128) is None      # 0 is MRU now: 64 is the victim
-        assert c.fill(192) == 0         # then 0 goes, written back
+        assert c.fill(192) == 0         # then 0 goes, still dirty: written back
         c.fill(0, prefetched=True)
-        c.lookup(0, update_stats=False)
+        c.touch_block(0)
         c.lookup(0)                     # first counted hit claims the mark
         c.lookup(0)
         assert c.stats.prefetch_hits == 1

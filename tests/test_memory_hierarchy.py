@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.memory import (
-    CompositePrefetcher,
-    HierarchyConfig,
-    MemoryHierarchy,
-    NextLinePrefetcher,
-    StridePrefetcher,
-)
+from repro.memory import HierarchyConfig, MemoryHierarchy, Prefetcher
 
 
 def _hierarchy(**overrides):
@@ -62,6 +56,20 @@ class TestMshr:
         assert hit == max(first, 5 + m.config.l1d_latency)
         assert hit == first
 
+    def test_hit_merges_only_while_the_fill_is_in_flight(self):
+        """An L1 hit on a block still in flight counts a merge and waits
+        for the fill; one whose own latency already covers the fill
+        (completion exactly at the fill) counts none."""
+        latency = HierarchyConfig().l1d_latency
+        early = _hierarchy()
+        done = early.load(0, 0x6000)
+        assert early.load(done - latency - 1, 0x6000) == done
+        assert early.mshr_merges == 1
+        on_time = _hierarchy()
+        done = on_time.load(0, 0x6000)
+        assert on_time.load(done - latency, 0x6000) == done
+        assert on_time.mshr_merges == 0
+
     def test_full_mshr_serializes(self):
         m = _hierarchy(mshr_entries=2)
         m.load(0, 0x10000)
@@ -99,33 +107,56 @@ class TestPrefetchTiming:
         demanded = m2.load(4, 0x50000 + 4 * 64, pc=0x999)
         assert demanded - 4 > m2.config.l1d_latency + m2.config.l2_latency
 
+    def test_demand_merged_into_a_prefetch_leaves_l1_unfilled(self):
+        """Pins a known quirk (DESIGN.md, modeling decision 4): a demand
+        L1 miss on a block whose MSHR entry came from a prefetch merges
+        and completes when the prefetch arrives, but nothing fills L1,
+        because the prefetch filled only L2 and the LLC.  The next access
+        after the entry is reaped pays L1 + L2, not an L1 hit.  A change
+        that fills L1 on such a merge must flip this test."""
+        m = MemoryHierarchy()
+        cycle = 0
+        for i in range(3):  # chained loads: each issues after the last
+            cycle = m.load(cycle, 0x100000 + 64 * i, pc=7) + 1
+        assert cycle == 525
+        block = 0x1000C0 // 64
+        assert m._mshr[block] == 542          # prefetched, in flight
+        merges = m.mshr_merges
+        assert m.load(525, 0x1000C0, pc=99) == 542
+        assert m.mshr_merges == merges + 1
+        assert not m.l1d.contains(0x1000C0)
+        later = 542 + 1000
+        assert m.load(later, 0x1000C0, pc=99) - later == \
+            m.config.l1d_latency + m.config.l2_latency  # 17, not 3
+
 
 class TestPrefetchers:
     def test_stride_detector_needs_confirmation(self):
-        p = StridePrefetcher(threshold=2, degree=2)
-        assert p.observe(100, pc=1) == []
-        assert p.observe(108, pc=1) == []   # stride learned
-        assert p.observe(116, pc=1) == []   # confirmed once
-        out = p.observe(124, pc=1)          # confident now
-        assert out == [132, 140]
+        p = Prefetcher(threshold=2, degree=2)
+        assert p.observe(100, pc=1) == [128]    # next line only
+        assert p.observe(108, pc=1) == [128]    # stride learned
+        assert p.observe(116, pc=1) == [128]    # confirmed once
+        out = p.observe(124, pc=1)              # confident now
+        assert out == [132, 140, 128]
 
     def test_stride_reset_on_change(self):
-        p = StridePrefetcher(threshold=1, degree=1)
+        p = Prefetcher(threshold=1, degree=1)
         p.observe(0, pc=1)
         p.observe(8, pc=1)
-        assert p.observe(16, pc=1) == [24]
-        assert p.observe(100, pc=1) == []  # broken stride
+        assert p.observe(16, pc=1) == [24, 64]
+        assert p.observe(100, pc=1) == [128]    # broken stride
 
     def test_next_line(self):
-        p = NextLinePrefetcher(line_bytes=64, degree=2)
-        assert p.observe(130, pc=0) == [192, 256]
+        assert Prefetcher(line_bytes=64).observe(130, pc=0) == [192]
+        assert Prefetcher(line_bytes=128).observe(130, pc=0) == [256]
 
     def test_composite_deduplicates(self):
-        p = CompositePrefetcher(line_bytes=64)
+        p = Prefetcher(line_bytes=64)
         for i in range(4):
             p.observe(i * 64, pc=7)
         out = p.observe(4 * 64, pc=7)
-        assert len(out) == len(set(out))
+        # The next line (320) is already the first strided candidate.
+        assert out == [320, 384, 448, 512]
 
 
 def test_stats_table_structure():

@@ -9,6 +9,7 @@ from repro.frontend import run_program
 from repro.isa import Instruction, Opcode, RegClass, assemble, ireg
 from repro.memory import DramModel
 from repro.pipeline import Core, ROBEntry, fast_test_config, golden_cove_config
+from repro.pipeline.state import WORD, StoreRecord
 from repro.pipeline.stats import RegisterEventLog
 from repro.workloads import build_trace
 
@@ -128,6 +129,39 @@ class TestStoreForwarding:
         core = Core(golden_cove_config(rf_size=64, scheme=scheme), trace)
         core.run()
         assert core.memory.stats_table()["L1D"]["accesses"] == 492
+
+    def test_each_word_takes_the_youngest_older_issued_store(self):
+        """Forwarding over hand-built store records: per word, the
+        youngest older store that has issued and recorded the word."""
+        core = Core(fast_test_config(), run_program(assemble("halt")))
+        state = core.state
+        unit = core.stages.execute_unit
+        base = 0x1000
+
+        def store(seq, addr, values, issued=True):
+            record = StoreRecord(seq)
+            record.issued = issued
+            record.words = [(addr + i * WORD, v) for i, v in enumerate(values)]
+            state.stores[seq] = record
+            for i in range(len(values) if values else 1):
+                state.store_words.setdefault(addr + i * WORD, []).append(seq)
+
+        store(1, base, [10])
+        store(2, base, [20, 21, 22, 23])    # a VST's four lanes
+        store(3, base + WORD, [30])
+        store(4, base, [40], issued=False)  # not issued: passed over
+        store(5, base, [])                  # issued on the wrong path
+        store(7, base, [70])                # younger than the loads
+        forward = unit._forward_from_stores
+        assert forward(6, base, 1) == {base: 20}
+        assert forward(2, base, 1) == {base: 10}
+        assert forward(1, base, 1) == {}
+        assert forward(8, base, 1) == {base: 70}
+        # A VLD: lane 1 from the younger scalar store, the rest from the VST.
+        assert forward(6, base, 4) == {
+            base: 20, base + WORD: 30, base + 2 * WORD: 22,
+            base + 3 * WORD: 23}
+        assert forward(6, base + 4 * WORD, 4) == {}  # words no store writes
 
 
 class TestDram:
