@@ -270,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    from .pipeline import Core, core_config, golden_cove_config
-    from .workloads import build_trace
+    from .harness import CellSpec, TierPolicy, simulate_cell
+    from .pipeline import core_config, golden_cove_config
 
     name = args.benchmark
     try:
@@ -287,28 +287,26 @@ def _cmd_run(args) -> int:
                 scheme=args.scheme, redefine_delay=args.redefine_delay)
     except ValueError as exc:
         return _usage_error("run", str(exc))
-    trace = build_trace(name, args.instructions)
     args.rf_size = config.int_rf_size  # for the summary lines below
-    if args.tier == "tiered":
-        from .tiered import run_tiered
-
-        stats, s, tier_info = run_tiered(config, trace,
-                                         interval=args.interval,
-                                         max_windows=args.windows)
-        windows = tier_info["windows"]
+    tier = TierPolicy(mode=args.tier, interval=args.interval,
+                      max_windows=args.windows)
+    cell = simulate_cell(
+        CellSpec(name, args.rf_size, args.scheme, args.instructions,
+                 redefine_delay=args.redefine_delay, tier=tier),
+        config=config)
+    stats, s = cell.stats, cell.scheme_stats
+    if cell.tier_info is not None:
+        windows = cell.tier_info["windows"]
         print(f"{name}: ~{stats.committed} instructions in ~{stats.cycles} "
               f"cycles (IPC {stats.ipc:.3f}, tiered estimate)")
         print(f"  tiered: {len(windows)} windows, "
-              f"{tier_info['detailed_instructions']} detailed instructions "
-              f"of {tier_info['represented_instructions']} represented, "
-              f"warmup to {tier_info['warmup_instructions']}")
+              f"{cell.tier_info['detailed_instructions']} detailed instructions "
+              f"of {cell.tier_info['represented_instructions']} represented, "
+              f"warmup to {cell.tier_info['warmup_instructions']}")
         for w in windows:
             print(f"    window @{w['start']:>7} len {w['length']:>6} "
                   f"weight {w['weight']:.3f}  IPC {w['ipc']:.3f}")
     else:
-        core = Core(config, trace)
-        stats = core.run()
-        s = core.scheme.stats
         print(f"{name}: {stats.committed} instructions in {stats.cycles} "
               f"cycles (IPC {stats.ipc:.3f})")
     print(f"  scheme {args.scheme} @ {args.rf_size} regs, "
@@ -323,27 +321,25 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .pipeline import Core, golden_cove_config
-    from .workloads import build_trace
+    from .harness import CellSpec, simulate_cell
+    from .pipeline import golden_cove_config
 
     name = args.benchmark
     try:
-        configs = {scheme: golden_cove_config(rf_size=args.rf_size, scheme=scheme)
-                   for scheme in _scheme_names()}
+        golden_cove_config(rf_size=args.rf_size)
     except ValueError as exc:
         return _usage_error("compare", str(exc))
-    trace = build_trace(name, args.instructions)
-    print(f"{name} @ {args.rf_size} registers, {len(trace)} instructions")
+    cells = [simulate_cell(CellSpec(name, args.rf_size, scheme,
+                                    args.instructions))
+             for scheme in _scheme_names()]
+    print(f"{name} @ {args.rf_size} registers, "
+          f"{cells[0].stats.committed} instructions")
     print(f"{'scheme':12} {'IPC':>7} {'vs base':>8} {'early frees':>12}")
-    base_ipc = None
-    for scheme, config in configs.items():
-        core = Core(config, trace)
-        stats = core.run()
-        if base_ipc is None:
-            base_ipc = stats.ipc
-        gain = stats.ipc / base_ipc - 1
-        print(f"{scheme:12} {stats.ipc:7.3f} {gain:+7.2%} "
-              f"{core.scheme.stats.early_frees:12}")
+    base_ipc = cells[0].ipc
+    for cell in cells:
+        gain = cell.ipc / base_ipc - 1
+        print(f"{cell.scheme:12} {cell.ipc:7.3f} {gain:+7.2%} "
+              f"{cell.scheme_stats.early_frees:12}")
     return 0
 
 
@@ -361,7 +357,7 @@ def _figure_kwargs(module, args) -> dict:
     if args.instructions is not None and "instructions" in params:
         kwargs["instructions"] = args.instructions
     if "jobs" in params:
-        kwargs["jobs"] = args.jobs if args.jobs is not None else _default_jobs()
+        kwargs["jobs"] = args.jobs
     if args.quick:
         int2 = ["505.mcf_r", "531.deepsjeng_r"]
         fp2 = ["503.bwaves_r", "508.namd_r"]
@@ -371,12 +367,6 @@ def _figure_kwargs(module, args) -> dict:
         elif "benchmarks" in params:
             kwargs["benchmarks"] = int2 + fp2
     return kwargs
-
-
-def _default_jobs() -> int:
-    import os
-
-    return os.cpu_count() or 1
 
 
 def _sweep_progress(verbose: bool):
@@ -432,24 +422,22 @@ def _cmd_sweep(args) -> int:
     benchmarks = args.benchmarks
     rf_sizes = args.rf_sizes
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    specs = [
-        cell_spec(benchmark, rf_size, scheme, args.instructions,
-                  redefine_delay=args.redefine_delay)
+    specs = {
+        (benchmark, rf_size, scheme): cell_spec(
+            benchmark, rf_size, scheme, args.instructions,
+            redefine_delay=args.redefine_delay)
         for benchmark in benchmarks
         for rf_size in rf_sizes
         for scheme in schemes
-    ]
+    }
     progress = _sweep_progress(args.verbose)
-    report = sweep(specs, jobs=args.jobs if args.jobs is not None
-                   else _default_jobs(), progress=progress)
+    report = sweep(list(specs.values()), jobs=args.jobs, progress=progress)
     rows = []
     for benchmark in benchmarks:
         for rf_size in rf_sizes:
             row = [benchmark, rf_size]
             for scheme in schemes:
-                spec = cell_spec(benchmark, rf_size, scheme, args.instructions,
-                                 redefine_delay=args.redefine_delay)
-                cell = report.results.get(spec)
+                cell = report.results.get(specs[benchmark, rf_size, scheme])
                 row.append(f"{cell.ipc:.3f}" if cell is not None else "FAIL")
             rows.append(row)
     print(format_table(["benchmark", "rf"] + schemes, rows,
@@ -489,11 +477,7 @@ def _cmd_validate(args) -> int:
     print(f"validate: {len(specs)} chaos cells "
           f"({args.intensity} intensity, {instructions} instructions/cell)")
     progress = _sweep_progress(args.verbose)
-    report = run_campaign(
-        specs,
-        jobs=args.jobs if args.jobs is not None else _default_jobs(),
-        progress=progress,
-    )
+    report = run_campaign(specs, jobs=args.jobs, progress=progress)
     print(report.render())
     progress.emit_summary()
     return 0 if report.ok else 1
@@ -563,7 +547,7 @@ def _cmd_analyze(args) -> int:
 def _static_analysis_row(name: str, instructions: int) -> dict:
     """One benchmark's static memory/opportunity summary + the dynamic
     committed-path realized releases the static bound must dominate."""
-    from .harness import CellSpec, sweep
+    from .experiments import run_cell
     from .staticcheck import (
         analyze_memdep,
         analyze_pressure,
@@ -582,9 +566,8 @@ def _static_analysis_row(name: str, instructions: int) -> dict:
     trace = build_trace(name, instructions)
     static_bound = pressure.trace_bound(e.pc for e in trace.entries)
 
-    spec = CellSpec(benchmark=name, rf_size=64, scheme="atr",
-                    instructions=instructions, record_register_events=True)
-    cell = sweep([spec])[spec]
+    cell = run_cell(name, 64, "atr", instructions,
+                    record_register_events=True)
     realized = sum(1 for record in (cell.event_records or [])
                    if record.early_release_cycle is not None)
     return {

@@ -34,9 +34,8 @@ from .runner import (
     default_int_suite,
     geomean,
     mean,
-    prime_cells,
-    prime_regions,
     region_report,
+    resolve_specs,
     run_cell,
     speedup,
     suite_speedup,
@@ -70,7 +69,7 @@ def __getattr__(name):
 __all__ = [
     "run_cell", "CellResult", "CellSpec", "RegionSpec", "cell_spec",
     "TierPolicy", "DETAILED",
-    "region_report", "clear_result_cache", "prime_cells", "prime_regions",
+    "region_report", "resolve_specs", "clear_result_cache",
     "geomean", "mean", "speedup", "suite_speedup",
     "default_instructions", "default_int_suite", "default_fp_suite",
     "format_table", "compare_line", "pct", "shorten",

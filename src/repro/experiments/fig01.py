@@ -18,8 +18,7 @@ from .runner import (
     default_instructions,
     default_int_suite,
     mean,
-    prime_cells,
-    run_cell,
+    resolve_specs,
 )
 
 #: The "infinite" configuration: more registers than the 512-entry ROB
@@ -63,18 +62,16 @@ def run(
 ) -> Fig01Result:
     benchmarks = list(default_int_suite() if benchmarks is None else benchmarks)
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, size, "baseline", instructions)
-             for b in benchmarks for size in (IDEAL_RF, *sizes)],
-            jobs=jobs,
-        )
+    cells = resolve_specs(
+        {(b, size): cell_spec(b, size, "baseline", instructions)
+         for b in benchmarks for size in (IDEAL_RF, *sizes)},
+        jobs,
+    )
     normalized: Dict[str, Dict[int, float]] = {}
     for benchmark in benchmarks:
-        ideal = run_cell(benchmark, IDEAL_RF, "baseline", instructions).ipc
+        ideal = cells[benchmark, IDEAL_RF].ipc
         normalized[benchmark] = {
-            size: run_cell(benchmark, size, "baseline", instructions).ipc / ideal
-            for size in sizes
+            size: cells[benchmark, size].ipc / ideal for size in sizes
         }
     average = {
         size: mean(normalized[b][size] for b in benchmarks) for size in sizes

@@ -21,8 +21,7 @@ from .runner import (
     default_fp_suite,
     default_instructions,
     default_int_suite,
-    prime_cells,
-    run_cell,
+    resolve_specs,
 )
 
 
@@ -70,28 +69,22 @@ def run(
     int_benchmarks = list(default_int_suite() if int_benchmarks is None else int_benchmarks)
     fp_benchmarks = list(default_fp_suite() if fp_benchmarks is None else fp_benchmarks)
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, rf_size, "baseline", instructions,
-                       record_register_events=True)
-             for b in int_benchmarks + fp_benchmarks],
-            jobs=jobs,
-        )
+    cells = resolve_specs(
+        {b: cell_spec(b, rf_size, "baseline", instructions,
+                      record_register_events=True)
+         for b in int_benchmarks + fp_benchmarks},
+        jobs,
+    )
     per_benchmark: Dict[str, LifetimeShares] = {}
-    int_records = []
-    fp_records = []
-    for benchmark in int_benchmarks:
-        cell = run_cell(benchmark, rf_size, "baseline", instructions,
-                        record_register_events=True)
-        per_benchmark[benchmark] = lifetime_shares(cell.event_records, RegClass.INT)
-        int_records.extend(cell.event_records)
-    for benchmark in fp_benchmarks:
-        cell = run_cell(benchmark, rf_size, "baseline", instructions,
-                        record_register_events=True)
-        per_benchmark[benchmark] = lifetime_shares(cell.event_records, RegClass.VEC)
-        fp_records.extend(cell.event_records)
+    records = {RegClass.INT: [], RegClass.VEC: []}
+    for suite, file in ((int_benchmarks, RegClass.INT),
+                        (fp_benchmarks, RegClass.VEC)):
+        for benchmark in suite:
+            events = cells[benchmark].event_records
+            per_benchmark[benchmark] = lifetime_shares(events, file)
+            records[file].extend(events)
     return Fig04Result(
         per_benchmark=per_benchmark,
-        int_total=lifetime_shares(int_records, RegClass.INT),
-        fp_total=lifetime_shares(fp_records, RegClass.VEC),
+        int_total=lifetime_shares(records[RegClass.INT], RegClass.INT),
+        fp_total=lifetime_shares(records[RegClass.VEC], RegClass.VEC),
     )

@@ -19,8 +19,7 @@ from .runner import (
     default_instructions,
     default_int_suite,
     mean,
-    prime_regions,
-    region_report,
+    resolve_specs,
 )
 
 
@@ -62,18 +61,15 @@ def run(
     int_benchmarks = list(default_int_suite() if int_benchmarks is None else int_benchmarks)
     fp_benchmarks = list(default_fp_suite() if fp_benchmarks is None else fp_benchmarks)
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_regions(
-            [RegionSpec(b, instructions) for b in int_benchmarks + fp_benchmarks],
-            jobs=jobs,
-        )
-    ratios: Dict[str, Dict[str, float]] = {}
-    for benchmark in int_benchmarks + fp_benchmarks:
-        report = region_report(benchmark, instructions)
-        ratios[benchmark] = {
-            kind: report.ratio(kind)
-            for kind in ("non_branch", "non_except", "atomic")
-        }
+    reports = resolve_specs(
+        {b: RegionSpec(b, instructions) for b in int_benchmarks + fp_benchmarks},
+        jobs,
+    )
+    ratios: Dict[str, Dict[str, float]] = {
+        benchmark: {kind: report.ratio(kind)
+                    for kind in ("non_branch", "non_except", "atomic")}
+        for benchmark, report in reports.items()
+    }
     return Fig06Result(
         ratios=ratios, int_benchmarks=int_benchmarks, fp_benchmarks=fp_benchmarks
     )

@@ -19,8 +19,7 @@ from .runner import (
     default_instructions,
     default_int_suite,
     mean,
-    prime_cells,
-    run_cell,
+    resolve_specs,
     speedup,
 )
 
@@ -99,21 +98,17 @@ def run(
     int_benchmarks = list(default_int_suite() if int_benchmarks is None else int_benchmarks)
     fp_benchmarks = list(default_fp_suite() if fp_benchmarks is None else fp_benchmarks)
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, rf_size, scheme, instructions)
-             for b in int_benchmarks + fp_benchmarks
-             for rf_size in sizes
-             for scheme in ("baseline",) + SCHEMES],
-            jobs=jobs,
-        )
-    speedups: Dict[Tuple[str, int, str], float] = {}
-    for benchmark in int_benchmarks + fp_benchmarks:
-        for rf_size in sizes:
-            base = run_cell(benchmark, rf_size, "baseline", instructions)
-            for scheme in SCHEMES:
-                cell = run_cell(benchmark, rf_size, scheme, instructions)
-                speedups[(benchmark, rf_size, scheme)] = speedup(cell.ipc, base.ipc)
+    cells = resolve_specs(
+        {(b, rf_size, scheme): cell_spec(b, rf_size, scheme, instructions)
+         for b in int_benchmarks + fp_benchmarks
+         for rf_size in sizes
+         for scheme in ("baseline",) + SCHEMES},
+        jobs,
+    )
+    speedups: Dict[Tuple[str, int, str], float] = {
+        (b, rf_size, scheme): speedup(cell.ipc, cells[b, rf_size, "baseline"].ipc)
+        for (b, rf_size, scheme), cell in cells.items() if scheme != "baseline"
+    }
     return Fig10Result(
         sizes=sizes,
         int_benchmarks=int_benchmarks,

@@ -17,8 +17,7 @@ from .runner import (
     default_fp_suite,
     default_instructions,
     default_int_suite,
-    prime_regions,
-    region_report,
+    resolve_specs,
 )
 
 
@@ -64,13 +63,11 @@ def run(
     if benchmarks is None:
         benchmarks = list(default_int_suite()) + list(default_fp_suite())
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_regions([RegionSpec(b, instructions) for b in benchmarks],
-                      jobs=jobs)
+    reports = resolve_specs(
+        {b: RegionSpec(b, instructions) for b in benchmarks}, jobs)
     histograms: Dict[str, Dict[int, int]] = {}
     means: Dict[str, float] = {}
-    for benchmark in benchmarks:
-        report = region_report(benchmark, instructions)
+    for benchmark, report in reports.items():
         histograms[benchmark] = report.consumer_histogram()
         means[benchmark] = report.mean_consumers()
     return Fig12Result(histograms=histograms, means=means)

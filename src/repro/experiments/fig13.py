@@ -18,8 +18,7 @@ from .runner import (
     default_instructions,
     default_int_suite,
     mean,
-    prime_cells,
-    run_cell,
+    resolve_specs,
     speedup,
 )
 
@@ -70,18 +69,14 @@ def run(
 ) -> Fig13Result:
     benchmarks = list(default_int_suite() if benchmarks is None else benchmarks)
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, rf_size, "baseline", instructions) for b in benchmarks]
-            + [cell_spec(b, rf_size, "atr", instructions, redefine_delay=d)
-               for b in benchmarks for d in DELAYS],
-            jobs=jobs,
-        )
-    speedups: Dict[Tuple[str, int], float] = {}
-    for benchmark in benchmarks:
-        base = run_cell(benchmark, rf_size, "baseline", instructions)
-        for delay in DELAYS:
-            cell = run_cell(benchmark, rf_size, "atr", instructions,
-                            redefine_delay=delay)
-            speedups[(benchmark, delay)] = speedup(cell.ipc, base.ipc)
+    specs = {(b, "baseline"): cell_spec(b, rf_size, "baseline", instructions)
+             for b in benchmarks}
+    specs.update({(b, d): cell_spec(b, rf_size, "atr", instructions,
+                                    redefine_delay=d)
+                  for b in benchmarks for d in DELAYS})
+    cells = resolve_specs(specs, jobs)
+    speedups: Dict[Tuple[str, int], float] = {
+        (b, d): speedup(cells[b, d].ipc, cells[b, "baseline"].ipc)
+        for b in benchmarks for d in DELAYS
+    }
     return Fig13Result(benchmarks=benchmarks, rf_size=rf_size, speedups=speedups)

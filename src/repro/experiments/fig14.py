@@ -23,10 +23,7 @@ from .runner import (
     default_instructions,
     default_int_suite,
     mean,
-    prime_cells,
-    prime_regions,
-    region_report,
-    run_cell,
+    resolve_specs,
 )
 
 
@@ -79,18 +76,15 @@ def run(
     if benchmarks is None:
         benchmarks = list(default_int_suite()) + list(default_fp_suite())
     instructions = instructions or default_instructions()
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, rf_size, "baseline", instructions,
-                       record_register_events=True) for b in benchmarks],
-            jobs=jobs,
-        )
-        prime_regions([RegionSpec(b, instructions) for b in benchmarks],
-                      jobs=jobs)
-    timings: Dict[str, EventTiming] = {}
-    for benchmark in benchmarks:
-        cell = run_cell(benchmark, rf_size, "baseline", instructions,
-                        record_register_events=True)
-        report = region_report(benchmark, instructions)
-        timings[benchmark] = atomic_event_timing(cell.event_records, report)
+    specs = {}
+    for b in benchmarks:
+        specs[b, "cell"] = cell_spec(b, rf_size, "baseline", instructions,
+                                     record_register_events=True)
+        specs[b, "regions"] = RegionSpec(b, instructions)
+    results = resolve_specs(specs, jobs)
+    timings: Dict[str, EventTiming] = {
+        b: atomic_event_timing(results[b, "cell"].event_records,
+                               results[b, "regions"])
+        for b in benchmarks
+    }
     return Fig14Result(timings=timings)

@@ -16,12 +16,12 @@ from ..pipeline import golden_cove_config
 from . import expectations
 from .report import compare_line, format_table
 from .runner import (
+    CellResult,
     cell_spec,
     default_instructions,
     default_int_suite,
     mean,
-    prime_cells,
-    run_cell,
+    resolve_specs,
 )
 
 SCHEMES = ("baseline", "nonspec_er", "atr", "combined")
@@ -70,13 +70,16 @@ class Fig15Result:
         return "\n".join(lines)
 
 
-def _suite_ipc(benchmarks, rf_size, scheme, instructions, jobs=None) -> float:
-    if jobs is not None:
-        prime_cells([cell_spec(b, rf_size, scheme, instructions)
-                     for b in benchmarks], jobs=jobs)
-    return mean(
-        run_cell(b, rf_size, scheme, instructions).ipc for b in benchmarks
-    )
+def _suite_cells(benchmarks, rf_size, scheme, instructions,
+                 jobs) -> Dict[str, CellResult]:
+    return resolve_specs(
+        {b: cell_spec(b, rf_size, scheme, instructions) for b in benchmarks},
+        jobs)
+
+
+def _suite_ipc(benchmarks, rf_size, scheme, instructions, jobs) -> float:
+    cells = _suite_cells(benchmarks, rf_size, scheme, instructions, jobs)
+    return mean(cells[b].ipc for b in benchmarks)
 
 
 def minimum_rf_size(
@@ -129,7 +132,8 @@ def run(
     area: Dict[str, float] = {}
     reference_config = golden_cove_config(rf_size=reference_rf)
     reference_model = CorePowerModel(reference_config, extra_prf_bits=0)
-    reference_cell = run_cell(benchmarks[0], reference_rf, "baseline", instructions)
+    reference_cell = _suite_cells(benchmarks, reference_rf, "baseline",
+                                  instructions, jobs)[benchmarks[0]]
     reference_power = reference_model.runtime_power(reference_cell.stats)
     reference_area = reference_model.core_area()
 
@@ -140,7 +144,8 @@ def run(
         )
         config = golden_cove_config(rf_size=required[scheme])
         model = CorePowerModel(config, extra_prf_bits=_EXTRA_BITS[scheme])
-        cell = run_cell(benchmarks[0], required[scheme], scheme, instructions)
+        cell = _suite_cells(benchmarks, required[scheme], scheme,
+                            instructions, jobs)[benchmarks[0]]
         power[scheme] = (model.runtime_power(cell.stats) - reference_power) / reference_power
         area[scheme] = (model.core_area() - reference_area) / reference_area
 

@@ -1,12 +1,12 @@
 """Experiment execution: one simulation = one (benchmark, config) cell.
 
-Every figure module builds on :func:`run_cell`, which resolves cells
-through :mod:`repro.harness`: an in-process memo gives overlapping
-sweeps (Figure 10's 64-register column reuses Figure 11's) identity-
-cached results, and the harness's persistent store makes re-runs warm
-across interpreter invocations.  Figures regenerate in parallel by
-priming the memo with :func:`prime_cells` / :func:`prime_regions`, which
-shard the cold cells over worker processes.
+Every figure lists the cells it needs and resolves them in one
+:func:`resolve_specs` call: a :func:`repro.harness.sweep` (dedup, the
+persistent store, cold cells sharded over worker processes, retry and a
+sanitizer re-run of a failed cell) behind an in-process memo, which
+gives overlapping figures (Figure 10's 64-register column reuses Figure
+11's) identity-cached results.  :func:`run_cell` and
+:func:`region_report` are one-spec calls of it.
 
 Scale is each call's ``instructions`` argument (``repro figure -n``);
 without one, a cell simulates :func:`default_instructions` — 5000 dynamic
@@ -17,7 +17,7 @@ behaviour of these loop-dominated kernels.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..analysis import RegionReport
 from ..harness import (
@@ -25,18 +25,15 @@ from ..harness import (
     CellResult,
     CellSpec,
     RegionSpec,
+    Spec,
     TierPolicy,
-    default_store,
-    simulate_cell,
     sweep,
 )
-from ..pipeline import CoreConfig
 from ..workloads import SPEC_FP, SPEC_INT
 
 __all__ = [
     "CellResult", "CellSpec", "RegionSpec", "TierPolicy", "DETAILED",
-    "run_cell", "region_report", "prime_cells", "prime_regions",
-    "clear_result_cache",
+    "resolve_specs", "run_cell", "region_report", "clear_result_cache",
     "geomean", "mean", "speedup", "suite_speedup",
     "default_instructions", "default_int_suite", "default_fp_suite",
 ]
@@ -54,8 +51,22 @@ def default_fp_suite() -> Tuple[str, ...]:
     return SPEC_FP
 
 
-_cell_cache: Dict[CellSpec, CellResult] = {}
-_region_cache: Dict[RegionSpec, RegionReport] = {}
+_results: Dict[Spec, object] = {}
+
+
+def resolve_specs(specs: Mapping[Hashable, Spec],
+                  jobs: Optional[int] = None) -> Dict[Hashable, object]:
+    """Resolve a key -> spec map to key -> result, in one sweep.
+
+    Specs missing from the in-process memo go to
+    :func:`repro.harness.sweep` with *jobs* workers (``None``: every
+    core) and join the memo.  Raises :class:`repro.harness.SweepError`
+    if any cell failed.
+    """
+    cold = [spec for spec in specs.values() if spec not in _results]
+    if cold:
+        _results.update(sweep(cold, jobs=jobs).require_complete().results)
+    return {key: _results[spec] for key, spec in specs.items()}
 
 
 def cell_spec(
@@ -86,73 +97,29 @@ def run_cell(
     instructions: Optional[int] = None,
     redefine_delay: int = 0,
     record_register_events: bool = False,
-    config: Optional[CoreConfig] = None,
-    use_cache: bool = True,
     tier: Optional[TierPolicy] = None,
 ) -> CellResult:
     """Simulate one benchmark under one configuration.
 
-    With a custom *config* the cell is computed directly and never cached
-    (the config is not part of the spec identity).  *tier* selects the
-    simulation tier (default: full-trace detailed); tiered and detailed
-    results of the same cell cache under distinct spec identities.
+    *tier* selects the simulation tier (default: full-trace detailed);
+    tiered and detailed results of the same cell cache under distinct
+    spec identities.
     """
     spec = cell_spec(benchmark, rf_size, scheme, instructions,
                      redefine_delay, record_register_events, tier)
-    if config is not None:
-        return simulate_cell(spec, config=config)
-    if use_cache and spec in _cell_cache:
-        return _cell_cache[spec]
-    result = None
-    store = default_store() if use_cache else None
-    if store is not None:
-        result = store.get(spec)
-    if result is None:
-        result = simulate_cell(spec)
-        if store is not None:
-            store.put(spec, result)
-    if use_cache:
-        _cell_cache[spec] = result
-    return result
+    return resolve_specs({spec: spec}, jobs=1)[spec]
 
 
 def region_report(benchmark: str, instructions: Optional[int] = None) -> RegionReport:
     """Trace-level region classification (no simulation needed)."""
     spec = RegionSpec(benchmark, instructions or default_instructions())
-    if spec not in _region_cache:
-        report = sweep([spec], jobs=1).require_complete()[spec]
-        _region_cache[spec] = report
-    return _region_cache[spec]
-
-
-def prime_cells(specs: Iterable[CellSpec], jobs: Optional[int] = None) -> None:
-    """Resolve *specs* (deduplicated, parallel across cores, store-backed)
-    into the in-process memo, so subsequent :func:`run_cell` calls hit.
-
-    ``jobs=None`` uses every core; raises :class:`repro.harness.SweepError`
-    if any cell failed.
-    """
-    cold = [spec for spec in specs if spec not in _cell_cache]
-    if not cold:
-        return
-    report = sweep(cold, jobs=jobs).require_complete()
-    _cell_cache.update(report.results)
-
-
-def prime_regions(specs: Iterable[RegionSpec], jobs: Optional[int] = None) -> None:
-    """:func:`prime_cells`, for :func:`region_report` specs."""
-    cold = [spec for spec in specs if spec not in _region_cache]
-    if not cold:
-        return
-    report = sweep(cold, jobs=jobs).require_complete()
-    _region_cache.update(report.results)
+    return resolve_specs({spec: spec}, jobs=1)[spec]
 
 
 def clear_result_cache() -> None:
     """Drop the in-process memo (the persistent store is unaffected;
     use ``repro cache clear`` / ``ResultStore.clear`` for that)."""
-    _cell_cache.clear()
-    _region_cache.clear()
+    _results.clear()
 
 
 # -- aggregation helpers ---------------------------------------------------------
@@ -195,17 +162,10 @@ def suite_speedup(
     benchmarks = list(benchmarks)
     if not benchmarks:
         raise ValueError("suite_speedup over an empty benchmark list")
-    if jobs is not None:
-        prime_cells(
-            [cell_spec(b, rf_size, s, instructions,
-                       redefine_delay if s == scheme else 0)
-             for b in benchmarks for s in (scheme, baseline)],
-            jobs=jobs,
-        )
-    speedups = []
-    for benchmark in benchmarks:
-        test = run_cell(benchmark, rf_size, scheme, instructions,
-                        redefine_delay=redefine_delay)
-        base = run_cell(benchmark, rf_size, baseline, instructions)
-        speedups.append(speedup(test.ipc, base.ipc))
-    return mean(speedups)
+    specs = {}
+    for b in benchmarks:
+        specs[b, "test"] = cell_spec(b, rf_size, scheme, instructions, redefine_delay)
+        specs[b, "base"] = cell_spec(b, rf_size, baseline, instructions)
+    cells = resolve_specs(specs, jobs)
+    return mean(speedup(cells[b, "test"].ipc, cells[b, "base"].ipc)
+                for b in benchmarks)

@@ -10,7 +10,6 @@ vector).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..hwmodel import BulkLogicSpec, TimingReport, consumer_counter_overhead, timing_report
 from . import expectations
@@ -48,10 +47,7 @@ class Sec44Result:
         return "\n".join(lines)
 
 
-def run(spec: BulkLogicSpec = BulkLogicSpec(),
-        jobs: Optional[int] = None) -> Sec44Result:
-    # *jobs* accepted for CLI uniformity; the synthesis study has no
-    # sweepable cells.
+def run(spec: BulkLogicSpec = BulkLogicSpec()) -> Sec44Result:
     return Sec44Result(
         timing=timing_report(spec),
         counter_overhead_int=consumer_counter_overhead(64, 3),

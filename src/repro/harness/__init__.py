@@ -1,8 +1,8 @@
 """repro.harness — parallel sweep engine with a persistent result store.
 
-The experiment layer used to simulate one cell at a time in-process,
-with a cache that died with the interpreter.  This package makes sweep
-execution a first-class subsystem:
+Figures, ``run_cell`` and ``repro sweep`` resolve every cell through
+:func:`sweep`, and :func:`simulate_cell` computes each one (``repro
+run`` and ``repro compare`` call it directly):
 
 * **job model** (:mod:`.spec`, :mod:`.jobs`): hashable `CellSpec` /
   `RegionSpec` identify one unit of work; `execute_spec` produces the

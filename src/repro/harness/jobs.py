@@ -60,8 +60,9 @@ def simulate_cell(spec: CellSpec, config: Optional[CoreConfig] = None,
     if check_invariants:
         config = replace(config, check_invariants=True)
     trace = build_trace(spec.benchmark, spec.instructions)
-    tier = getattr(spec, "tier", None)
-    if tier is not None and tier.mode == "tiered":
+    tier = spec.tier
+    event_records = tier_info = None
+    if tier.mode == "tiered":
         if spec.record_register_events:
             raise ValueError(
                 "record_register_events requires detailed mode: the event "
@@ -70,25 +71,20 @@ def simulate_cell(spec: CellSpec, config: Optional[CoreConfig] = None,
         stats, scheme_stats, tier_info = run_tiered(
             config, trace, interval=tier.interval,
             max_windows=tier.max_windows, seed=tier.seed)
-        return CellResult(
-            benchmark=spec.benchmark,
-            scheme=spec.scheme,
-            rf_size=spec.rf_size,
-            instructions=spec.instructions,
-            stats=stats,
-            scheme_stats=scheme_stats,
-            tier_info=tier_info,
-        )
-    core = Core(config, trace)
-    stats = core.run()
+    else:
+        core = Core(config, trace)
+        stats = core.run()
+        scheme_stats = core.scheme.stats
+        event_records = core.event_log.records if core.event_log else None
     return CellResult(
         benchmark=spec.benchmark,
         scheme=spec.scheme,
         rf_size=spec.rf_size,
         instructions=spec.instructions,
         stats=stats,
-        scheme_stats=core.scheme.stats,
-        event_records=(core.event_log.records if core.event_log else None),
+        scheme_stats=scheme_stats,
+        event_records=event_records,
+        tier_info=tier_info,
     )
 
 

@@ -115,6 +115,14 @@ def _build_inherited_trace(spec: Spec) -> None:
         pass
 
 
+def _failure_error(first: Optional[str], last: str) -> str:
+    """A failed cell's error: the first attempt's (the symptom), then the
+    diagnostic retry's (often the cause) when it differs."""
+    if first is None or first == last:
+        return last
+    return f"{first}\nretry: {last}"
+
+
 def _retry_delay(backoff: float, attempt: int) -> float:
     """Exponential backoff before re-running a failed *attempt*."""
     if backoff <= 0:
@@ -172,6 +180,7 @@ def _run_serial(specs, retries, executor, progress, backoff=DEFAULT_BACKOFF,
     results: List[Tuple[Spec, object]] = []
     failures: List[CellFailure] = []
     for spec in specs:
+        first_error = None
         for attempt in range(1, retries + 2):
             if attempt > 1:
                 time.sleep(_retry_delay(backoff, attempt - 1))
@@ -184,10 +193,12 @@ def _run_serial(specs, retries, executor, progress, backoff=DEFAULT_BACKOFF,
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 if attempt <= retries:
+                    first_error = first_error or error
                     progress.retry(spec, error)
                     continue
                 progress.fail(spec, error)
-                failures.append(CellFailure(spec, error, attempt))
+                failures.append(CellFailure(
+                    spec, _failure_error(first_error, error), attempt))
             else:
                 results.append((spec, result))
                 progress.done(spec, time.monotonic() - started)
@@ -203,15 +214,18 @@ def _run_parallel(specs, jobs, timeout, retries, executor, progress, context,
     pending = deque((spec, 1, 0.0) for spec in specs)
     #: receive-pipe -> (spec, attempt, process, started)
     running: Dict[object, tuple] = {}
+    first_errors: Dict[Spec, str] = {}
 
     def settle(spec, attempt, error):
         if attempt <= retries:
+            first_errors.setdefault(spec, error)
             progress.retry(spec, error)
             pending.append((spec, attempt + 1,
                             time.monotonic() + _retry_delay(backoff, attempt)))
         else:
             progress.fail(spec, error)
-            failures.append(CellFailure(spec, error, attempt))
+            failures.append(CellFailure(
+                spec, _failure_error(first_errors.get(spec), error), attempt))
 
     try:
         while pending or running:

@@ -143,10 +143,6 @@ class MemoryHierarchy:
             latency = llc.latency
             l2.fill_block(block, False, False)
         else:
-            # Counted a second time on top of the probe's own count: a
-            # known quirk, kept so every pinned LLC counter holds.
-            llc.stats.accesses += 1
-            llc.stats.misses += 1
             latency = llc.latency + self.dram.access(addr)
             llc.fill_block(block, False, False)
             l2.fill_block(block, False, False)

@@ -7,7 +7,7 @@ and ``core`` is the thin orchestrator tying them together.
 """
 
 from .config import CORE_CONFIGS, CoreConfig, core_config, fast_test_config, golden_cove_config
-from .core import Core, DeadlockError, GoldenStateError, simulate
+from .core import Core, DeadlockError, GoldenStateError
 from .interrupts import InterruptController, InterruptStats
 from .probes import (
     PHASE_ORDER,
@@ -25,7 +25,7 @@ from .warmup import WarmupState, fast_forward
 __all__ = [
     "CoreConfig", "golden_cove_config", "fast_test_config",
     "CORE_CONFIGS", "core_config",
-    "Core", "simulate", "DeadlockError", "GoldenStateError",
+    "Core", "DeadlockError", "GoldenStateError",
     "InterruptController", "InterruptStats",
     "ReorderBuffer", "ROBEntry",
     "SimStats", "RegisterEventLog", "RegisterLifetime",

@@ -41,6 +41,7 @@ from .stages import (
 )
 from .state import PipelineState, build_state
 from .stats import RegisterEventLog, SimStats
+from .warmup import WarmupState, fast_forward
 
 
 class DeadlockError(RuntimeError):
@@ -89,11 +90,13 @@ class Core:
 
     def __init__(self, config: CoreConfig, trace: Trace,
                  scheme: Optional[ReleaseScheme] = None,
-                 warmup=None):
+                 warmup: Optional[WarmupState] = None):
         config.validate()
         if scheme is None:
             scheme = make_scheme(config.scheme, config.redefine_delay,
                                  config.scheme_debug_checks)
+        if warmup is None:  # a cold core starts from the stop-0 checkpoint
+            warmup, = fast_forward(config, trace, [0])
         self.state = build_state(config, trace, scheme, warmup)
 
         #: Register-event log for the analysis package (probe-fed).
@@ -443,16 +446,14 @@ class Core:
 
         The replay commits each trace entry's recorded result into an
         :class:`~repro.frontend.Emulator` started from the core's start
-        registers (zeros, or a warm checkpoint's), so it executes
-        nothing.  Only the words the trace stores are compared, never the
-        full memory image.
+        registers (its checkpoint's), so it executes nothing.  Only the
+        words the trace stores are compared, never the full memory image.
         """
         state = self.state
         trace = state.trace
         replay = Emulator(trace.program)
-        start = state.start_regs
-        if start is not None:
-            replay.regs = [*start[RegClass.INT], *start[RegClass.VEC]]
+        replay.regs = [*state.start_regs[RegClass.INT],
+                       *state.start_regs[RegClass.VEC]]
         commit = replay.commit
         for entry in trace.entries:
             commit(entry)
@@ -465,8 +466,3 @@ class Core:
                 f"{trace.name}: committed state differs from replaying its "
                 f"{len(trace)} trace entries (core != trace):\n{detail}")
 
-
-def simulate(config: CoreConfig, trace: Trace, max_cycles: Optional[int] = None) -> SimStats:
-    """One-call simulation: build a core, run it, return the stats."""
-    core = Core(config, trace)
-    return core.run(max_cycles=max_cycles)

@@ -27,7 +27,7 @@ from ..frontend import (
     canonical_memory,
     memory_image,
 )
-from ..isa import FLAGS, I_BYTES, Opcode, Program, RegClass, ireg, vreg
+from ..isa import FLAGS, Opcode, RegClass, ireg, vreg
 from ..memory import MemoryHierarchy
 from ..rename import CheckpointPool, RenameUnit
 from ..rename.schemes import ReleaseScheme
@@ -116,11 +116,10 @@ class PipelineState:
     # Value execution.  ``mem_values`` holds the words committed since
     # reset; loads fall back to ``trace.program.data``, which is shared
     # and never written.  ``start_regs`` are the architectural registers
-    # the core started from (per file, in SRT-slot order), or ``None``
-    # for the all-zero reset state.
+    # the core started from (per file, in SRT-slot order).
     values: Dict[RegClass, list] = field(default_factory=dict)
     mem_values: Dict[int, int] = field(default_factory=dict)
-    start_regs: Optional[Dict[RegClass, Tuple]] = None
+    start_regs: Dict[RegClass, Tuple] = field(default_factory=dict)
 
     # Observation / control
     probes: Optional[object] = None  # ProbeManager, or None when unprobed
@@ -184,37 +183,17 @@ class PipelineState:
             file.freelist.check_conservation(file.rat.live_ptags())
 
 
-def prewarm_code_image(config: CoreConfig, memory: MemoryHierarchy,
-                       program: Program) -> None:
-    """Fill L1I and L2 with *program*'s code image (if icache is modeled).
-
-    Warms the instruction side as the paper's methodology warms each
-    SimPoint before measurement; kernels are loop-dominated, so an icache
-    cold start would just add a fixed DRAM delay to every run.  Both a
-    from-reset core and fast-forward start here, so a window boundary is
-    never colder than a detailed run from reset.
-    """
-    if not config.model_icache:
-        return
-    code_bytes = len(program) * I_BYTES
-    for addr in range(0, code_bytes, config.memory.line_bytes):
-        memory.l1i.fill(addr)
-        memory.l2.fill(addr)
-
-
 def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
-                warmup: Optional["WarmupState"] = None) -> PipelineState:
+                warmup: "WarmupState") -> PipelineState:
     """Construct the machine state for one run (scheme already built).
 
-    A cold core builds a fresh predictor and caches (icache pre-warmed)
-    and starts with no written words over the program's data image.  A
-    core seeded from a :class:`~.warmup.WarmupState` instead adopts the
-    checkpoint's predictor, caches and written words, which then belong
-    to this core alone (a second use of the checkpoint raises), and
-    primes the architectural registers through the initial RAT mapping,
-    so the window's value execution continues exactly from the prefix.
-    The state keeps those registers as ``start_regs``: the end-of-run
-    golden check replays the window from them.
+    The core adopts the :class:`~.warmup.WarmupState` checkpoint's
+    predictor, caches and written words, which then belong to this core
+    alone (a second use of the checkpoint raises), and primes the
+    architectural registers through the initial RAT mapping, so the
+    run's value execution continues exactly from the checkpoint.  The
+    state keeps those registers as ``start_regs``: the end-of-run golden
+    check replays the run from them.
     """
     rename_unit = RenameUnit(
         int_size=config.int_rf_size,
@@ -226,21 +205,12 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
 
     values = {RegClass.INT: [0] * config.int_rf_size,
               RegClass.VEC: [(0, 0, 0, 0)] * config.vec_rf_size}
-    if warmup is None:
-        from .stages.fetch import make_predictor
-        branch_unit = BranchUnit(direction=make_predictor(config.predictor))
-        memory = MemoryHierarchy(config.memory)
-        prewarm_code_image(config, memory, trace.program)
-        mem_values: Dict[int, int] = {}
-        start_regs = None
-    else:
-        branch_unit, memory, mem_values = warmup.take()
-        start_regs = warmup.regs
-        for file, arch_values in start_regs.items():
-            rat = rename_unit.files[file].rat
-            file_values = values[file]
-            for slot, value in enumerate(arch_values):
-                file_values[rat.read(slot)] = value
+    branch_unit, memory, mem_values = warmup.take()
+    for file, arch_values in warmup.regs.items():
+        rat = rename_unit.files[file].rat
+        file_values = values[file]
+        for slot, value in enumerate(arch_values):
+            file_values[rat.read(slot)] = value
 
     return PipelineState(
         config=config,
@@ -259,5 +229,5 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
         },
         values=values,
         mem_values=mem_values,
-        start_regs=start_regs,
+        start_regs=warmup.regs,
     )

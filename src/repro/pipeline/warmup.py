@@ -1,11 +1,13 @@
-"""Functional fast-forward warmup for tiered simulation.
+"""Functional fast-forward: the checkpoint every core starts from.
 
 The tiered protocol (DESIGN.md, "Tiered simulation") replays a trace
 prefix while updating only the cheap-to-model microarchitectural state
 that matters for detailed accuracy, then hands the result to a detailed
 :class:`~.core.Core` so the cycle-level window starts hot instead of
-cold.  Nothing is emulated a second time: the trace already holds every
-entry's pc, direction, target, address and committed result.
+cold.  A core built without a checkpoint starts from the stop-0 one: a
+fresh predictor, caches with the code image pre-warmed, and the reset
+registers.  Nothing is emulated a second time: the trace already holds
+every entry's pc, direction, target, address and committed result.
 
 * **branch state** — every correct-path control instruction trains the
   direction predictor, BTB, indirect predictor, and RAS through the same
@@ -41,10 +43,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..branch import BranchUnit
 from ..frontend import ArchState, Emulator, Trace, memory_image
-from ..isa import FLAGS, I_BYTES, NUM_INT_REGS, RegClass
+from ..isa import FLAGS, I_BYTES, NUM_INT_REGS, Program, RegClass
 from ..memory import MemoryHierarchy
 from .config import CoreConfig
-from .state import prewarm_code_image
 
 
 def _clone(obj):
@@ -53,6 +54,25 @@ def _clone(obj):
     cache tag stores are flat arrays and int lists (enum members pickle
     by name, so singletons stay singletons)."""
     return pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+def prewarm_code_image(config: CoreConfig, memory: MemoryHierarchy,
+                       program: Program) -> None:
+    """Fill L1I and L2 with *program*'s code image (if icache is modeled).
+
+    Warms the instruction side as the paper's methodology warms each
+    SimPoint before measurement; kernels are loop-dominated, so an icache
+    cold start would just add a fixed DRAM delay to every run.  Every
+    checkpoint starts here, the stop-0 one a cold core runs from
+    included, so a window boundary is never colder than a detailed run
+    from reset.
+    """
+    if not config.model_icache:
+        return
+    code_bytes = len(program) * I_BYTES
+    for addr in range(0, code_bytes, config.memory.line_bytes):
+        memory.l1i.fill(addr)
+        memory.l2.fill(addr)
 
 
 @dataclass

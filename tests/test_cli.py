@@ -1,8 +1,12 @@
 """CLI smoke tests (``python -m repro ...``)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness import CellSpec, TierPolicy, simulate_cell
+from repro.rename.schemes import SCHEMES
 
 
 def test_list(capsys):
@@ -71,6 +75,51 @@ def test_compare(capsys):
     assert main(["compare", "deepsjeng", "-n", "1500", "-r", "64"]) == 0
     out = capsys.readouterr().out
     assert "baseline" in out and "combined" in out
+
+
+def _releases_line(cell) -> str:
+    s = cell.scheme_stats
+    return (f"releases: commit {s.commit_frees}, atr {s.atr_frees}, "
+            f"nonspec {s.nonspec_frees}, flush {s.flush_frees}")
+
+
+class TestPrintsWhatSimulateCellComputes:
+    """`run` and `compare` print the cell `simulate_cell` computes for
+    the same spec: cycles, committed instructions, release counts."""
+
+    def test_run_detailed(self, capsys):
+        assert main(["run", "deepsjeng", "-n", "1500", "-r", "64",
+                     "-s", "atr"]) == 0
+        out = capsys.readouterr().out
+        cell = simulate_cell(CellSpec("531.deepsjeng_r", 64, "atr", 1500))
+        assert (f"531.deepsjeng_r: {cell.stats.committed} instructions in "
+                f"{cell.stats.cycles} cycles (IPC {cell.ipc:.3f})") in out
+        assert _releases_line(cell) in out
+
+    def test_run_tiered(self, capsys):
+        assert main(["run", "mcf", "--tier", "tiered", "-n", "6000",
+                     "--interval", "1000", "--windows", "3"]) == 0
+        out = capsys.readouterr().out
+        tier = TierPolicy("tiered", interval=1000, max_windows=3)
+        cell = simulate_cell(CellSpec("505.mcf_r", 64, "atr", 6000, tier=tier))
+        assert (f"505.mcf_r: ~{cell.stats.committed} instructions in "
+                f"~{cell.stats.cycles} cycles") in out
+        assert _releases_line(cell) in out
+        windows = cell.tier_info["windows"]
+        assert re.findall(r"window @ *(\d+) .*IPC (\S+)", out) == [
+            (str(w["start"]), f"{w['ipc']:.3f}") for w in windows]
+
+    def test_compare(self, capsys):
+        assert main(["compare", "deepsjeng", "-n", "1500", "-r", "64"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cells = [simulate_cell(CellSpec("531.deepsjeng_r", 64, scheme, 1500))
+                 for scheme in SCHEMES.names()]
+        assert lines[0] == (f"531.deepsjeng_r @ 64 registers, "
+                            f"{cells[0].stats.committed} instructions")
+        rows = [line.split() for line in lines[2:]]
+        assert [(row[0], row[1], int(row[3])) for row in rows] == [
+            (cell.scheme, f"{cell.ipc:.3f}", cell.scheme_stats.early_frees)
+            for cell in cells]
 
 
 def test_analyze(capsys):

@@ -15,8 +15,9 @@ import re
 
 import pytest
 
+from repro.experiments import suite_speedup
 from repro.frontend import DynamicInstruction, Trace, final_state, run_program
-from repro.harness import CellSpec, sweep
+from repro.harness import CellSpec, SweepError, sweep
 from repro.isa import AssemblyError, assemble
 from repro.isa.semantics import MASK64
 from repro.pipeline import Core, GoldenStateError, fast_test_config, golden_cove_config
@@ -167,6 +168,17 @@ class TestEveryRunEndsWithTheGoldenCheck:
         report = sweep([spec], jobs=1, store=None)
         assert spec not in report.results
         assert [failure.spec for failure in report.failures] == [spec]
+
+    def test_figure_layer_failure_is_diagnosed(self, buggy_atr_scheme):
+        """A figure's cells go through the sweep: the failed cell is
+        named with the plain run's golden mismatch and the sanitizer
+        re-run's diagnosis."""
+        with pytest.raises(SweepError) as excinfo:
+            suite_speedup(["525.x264_r"], 64, buggy_atr_scheme,
+                          instructions=5000)
+        message = str(excinfo.value)
+        assert "525.x264_r/rf64/buggy_atr: GoldenStateError: " in message
+        assert "\nretry: InvariantViolation" in message
 
 
 @pytest.mark.parametrize("value", ["-1", "0x1FFFFFFFFFFFFFFFF"])

@@ -82,6 +82,21 @@ class TestFailureIsolation:
         assert not failures
         assert results[0][1] == "recovered"
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_names_the_first_error_and_the_retrys(self, tmp_path, jobs):
+        def executor(spec):
+            marker = tmp_path / spec.benchmark
+            if not marker.exists():
+                marker.write_text("tried")
+                raise RuntimeError("symptom")
+            raise ValueError("cause")
+
+        results, failures = run_specs(SPECS[:1], jobs=jobs, retries=1,
+                                      backoff=0, executor=executor)
+        assert not results
+        assert failures[0].error == ("RuntimeError: symptom\n"
+                                     "retry: ValueError: cause")
+
     def test_serial_retry_matches_parallel_semantics(self, tmp_path):
         def executor(spec):
             marker = tmp_path / spec.benchmark

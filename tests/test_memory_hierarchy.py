@@ -32,6 +32,14 @@ class TestLatencies:
         second = m.load(done + 1, 0x3000)
         assert second - (done + 1) == m.config.l1d_latency + m.config.l2_latency
 
+    def test_dram_bound_miss_counts_one_llc_access(self):
+        # The LLC probe counts the access and the miss; nothing on the
+        # way to DRAM counts them again.
+        m = MemoryHierarchy()
+        m.load(0, 0x100000, pc=7)
+        assert (m.llc.stats.accesses, m.llc.stats.misses) == (1, 1)
+        assert m.stats_table()["LLC"]["accesses"] == 1
+
     def test_ifetch_uses_l1i(self):
         m = _hierarchy()
         done = m.fetch(0, 0x100)

@@ -173,8 +173,6 @@ class _ReferenceHierarchy:
             latency = self.llc.latency
             self.l2.fill(addr)
         else:
-            self.llc.stats.accesses += 1
-            self.llc.stats.misses += 1
             latency = self.llc.latency + self.dram.access(addr)
             self.llc.fill(addr)
             self.l2.fill(addr)

@@ -265,16 +265,19 @@ class TestPluginEndToEnd:
         assert load_plugins() == ()
 
     def test_plugin_workload_and_scheme_run_cell(self, toy_plugin):
-        from repro.experiments import run_cell
+        from repro.experiments import clear_result_cache, run_cell
 
-        result = run_cell("999.toy_r", 64, "toy_baseline",
-                          instructions=400, use_cache=False)
-        assert result.stats.committed == 400
-        assert result.scheme == "toy_baseline"
-        # the plugin's variant is addressable too
-        variant = run_cell("999.toy_r/ref2", 64, "baseline",
-                           instructions=400, use_cache=False)
-        assert variant.benchmark == "999.toy_r/ref2"
+        try:
+            result = run_cell("999.toy_r", 64, "toy_baseline",
+                              instructions=400)
+            assert result.stats.committed == 400
+            assert result.scheme == "toy_baseline"
+            # the plugin's variant is addressable too
+            variant = run_cell("999.toy_r/ref2", 64, "baseline",
+                               instructions=400)
+            assert variant.benchmark == "999.toy_r/ref2"
+        finally:
+            clear_result_cache()  # the plugin is unregistered after the test
 
     def test_plugin_appears_in_repro_list(self, toy_plugin, capsys):
         from repro.cli import main
