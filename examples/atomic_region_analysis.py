@@ -9,11 +9,10 @@ table around the paper's omnetpp motif (load -> test+branch -> LEA/LEA/SHR).
 Run:  python examples/atomic_region_analysis.py [benchmark]
 """
 
-import dataclasses
 import sys
 
 from repro.analysis import classify_regions, timeline_table
-from repro.pipeline import Core, golden_cove_config
+from repro.pipeline import Core, TimelineProbe, golden_cove_config
 from repro.workloads import build_trace, resolve
 
 
@@ -37,10 +36,8 @@ def main() -> None:
           f"(3-bit counter covers up to 6)")
 
     # Figure-5-style stage timing for a window around an atomic region.
-    config = dataclasses.replace(
-        golden_cove_config(rf_size=64, scheme="atr"), record_timeline=True
-    )
-    core = Core(config, trace)
+    core = Core(golden_cove_config(rf_size=64, scheme="atr"), trace)
+    timeline = core.add_probe(TimelineProbe())
     core.run()
     atomic = report.atomic_chains()
     if atomic:
@@ -48,7 +45,7 @@ def main() -> None:
         start = max(0, anchor.alloc_seq - 2)
         print(f"\nstage timing around an atomic region "
               f"(alloc @{anchor.alloc_seq} -> redefine @{anchor.redefine_seq}):")
-        print(timeline_table(core.timeline, trace, start_seq=start, count=8))
+        print(timeline_table(timeline.rows, trace, start_seq=start, count=8))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ the breaker's own destination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ..frontend import Trace
 from ..isa import ArchReg, RegClass
@@ -72,9 +72,6 @@ class RegionReport:
 
     name: str
     chains: List[RegionChain] = field(default_factory=list)
-
-    def _closed(self) -> List[RegionChain]:
-        return [c for c in self.chains if c.closed]
 
     @property
     def total_allocations(self) -> int:

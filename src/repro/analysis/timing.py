@@ -7,19 +7,19 @@ a register only for (max of 1 and 2); the baseline holds it until (3).
 
 Figure 5 is a qualitative table of per-instruction stage timings
 (renamed / executed / completed / precommitted) for a code window; the
-``timeline_table`` helper renders the same view from a simulated run with
-``record_timeline`` enabled.
+``timeline_table`` helper renders the same view from the rows a
+:class:`~repro.pipeline.stats.TimelineProbe` recorded during a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..frontend import Trace
 from ..isa import RegClass
 from ..pipeline.stats import RegisterLifetime
-from .regions import RegionReport, classify_regions
+from .regions import RegionReport
 
 
 @dataclass
@@ -87,8 +87,8 @@ def timeline_table(
 ) -> str:
     """A Figure 5-style stage-timing table for a window of the trace.
 
-    *timeline* rows are the core's ``(trace_seq, pc, rename, issue,
-    complete, precommit, commit)`` tuples (``record_timeline=True``).
+    *timeline* rows are ``(trace_seq, pc, rename, issue, complete,
+    precommit, commit)`` tuples: ``TimelineProbe.rows``.
     """
     rows = {row[0]: row for row in timeline}
     lines = [f"{'seq':>6} {'instruction':32} {'Re':>6} {'Ex':>6} {'Cm':>6} {'Pr':>6}"]

@@ -84,10 +84,6 @@ class Trace:
     def __getitem__(self, index):
         return self.entries[index]
 
-    @property
-    def instruction_count(self) -> int:
-        return len(self.entries)
-
     def branch_count(self) -> int:
         return sum(1 for e in self.entries if e.instr.is_conditional_branch)
 

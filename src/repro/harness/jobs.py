@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..analysis import RegionReport, classify_regions
-from ..pipeline import Core, CoreConfig, SimStats, golden_cove_config
+from ..pipeline import Core, CoreConfig, RegisterEventLog, SimStats, golden_cove_config
 from ..rename.schemes import SchemeStats
 from ..workloads import build_trace, is_fp
 from .spec import CellSpec, RegionSpec, Spec
@@ -30,7 +30,6 @@ class CellResult:
     stats: SimStats
     scheme_stats: SchemeStats
     event_records: Optional[list] = None
-    region_report: Optional[RegionReport] = None
     #: Structured validation failure (invariant violation, golden-model
     #: divergence, …) rendered as text — ``None`` for a clean run.
     error: Optional[str] = None
@@ -55,7 +54,6 @@ def simulate_cell(spec: CellSpec, config: Optional[CoreConfig] = None,
             rf_size=spec.rf_size,
             scheme=spec.scheme,
             redefine_delay=spec.redefine_delay,
-            record_register_events=spec.record_register_events,
         )
     if check_invariants:
         config = replace(config, check_invariants=True)
@@ -73,9 +71,11 @@ def simulate_cell(spec: CellSpec, config: Optional[CoreConfig] = None,
             max_windows=tier.max_windows, seed=tier.seed)
     else:
         core = Core(config, trace)
+        if spec.record_register_events:
+            # The log fills this list as the run commits.
+            event_records = core.add_probe(RegisterEventLog()).records
         stats = core.run()
         scheme_stats = core.scheme.stats
-        event_records = core.event_log.records if core.event_log else None
     return CellResult(
         benchmark=spec.benchmark,
         scheme=spec.scheme,

@@ -30,10 +30,6 @@ def encode_cell_result(result: CellResult) -> Dict:
             None if result.event_records is None
             else [record.to_dict() for record in result.event_records]
         ),
-        "region_report": (
-            None if result.region_report is None
-            else result.region_report.to_dict()
-        ),
         "error": result.error,
         "tier_info": result.tier_info,
     }
@@ -50,10 +46,6 @@ def decode_cell_result(data: Dict) -> CellResult:
         event_records=(
             None if data["event_records"] is None
             else [RegisterLifetime.from_dict(r) for r in data["event_records"]]
-        ),
-        region_report=(
-            None if data["region_report"] is None
-            else RegionReport.from_dict(data["region_report"])
         ),
         # .get(): results persisted before the error/tier_info fields
         # existed.

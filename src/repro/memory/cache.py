@@ -31,10 +31,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class Cache:
     """One cache level.
@@ -162,9 +158,6 @@ class Cache:
             blocks.remove(block)
             self._dirty.discard(block)
             self._prefetched.discard(block)
-
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()
 
     @property
     def resident_blocks(self) -> int:

@@ -15,11 +15,10 @@ from .probes import (
     Probe,
     ProbeManager,
     RecordingProbe,
-    RegisterEventProbe,
 )
 from .rob import ROBEntry, ReorderBuffer
 from .state import PipelineState, StoreRecord, build_state
-from .stats import RegisterEventLog, RegisterLifetime, SimStats
+from .stats import RegisterEventLog, RegisterLifetime, SimStats, TimelineProbe
 from .warmup import WarmupState, fast_forward
 
 __all__ = [
@@ -28,9 +27,9 @@ __all__ = [
     "Core", "DeadlockError", "GoldenStateError",
     "InterruptController", "InterruptStats",
     "ReorderBuffer", "ROBEntry",
-    "SimStats", "RegisterEventLog", "RegisterLifetime",
+    "SimStats", "RegisterEventLog", "RegisterLifetime", "TimelineProbe",
     "PipelineState", "StoreRecord", "build_state",
-    "Probe", "ProbeManager", "RecordingProbe", "RegisterEventProbe",
+    "Probe", "ProbeManager", "RecordingProbe",
     "PROBE_EVENTS", "PHASE_ORDER",
     "WarmupState", "fast_forward",
 ]

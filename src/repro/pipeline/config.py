@@ -74,7 +74,6 @@ class CoreConfig:
     # Release scheme
     scheme: str = "baseline"
     redefine_delay: int = 0
-    scheme_debug_checks: bool = True
 
     # Free-list stall watermark: MAX_DEST x rename width (paper 4.2.1).
     # Our ISA has at most one destination per instruction.
@@ -83,13 +82,12 @@ class CoreConfig:
     # Memory hierarchy
     memory: HierarchyConfig = field(default_factory=HierarchyConfig)
 
-    # Modeling switches
-    record_register_events: bool = False
-    record_timeline: bool = False
     # Online invariant sanitizer (repro.validate): per-event use-after-
     # release / conservation / ordering checks.  Off by default — when
     # off the core holds no checker and pays a single `is None` test per
-    # hook site.
+    # hook site.  The only observer behind a config switch, because the
+    # harness's sanitizer re-run reaches every window core of a tiered
+    # cell through the config; other observers attach with add_probe.
     check_invariants: bool = False
 
     @property
@@ -123,13 +121,11 @@ def golden_cove_config(
     rf_size: int = 280,
     scheme: str = "baseline",
     redefine_delay: int = 0,
-    record_register_events: bool = False,
 ) -> CoreConfig:
     """The paper's Table 1 machine with a given RF size and scheme."""
     config = CoreConfig(
         scheme=scheme,
         redefine_delay=redefine_delay,
-        record_register_events=record_register_events,
     ).with_rf_size(rf_size)
     config.validate()
     return config

@@ -27,7 +27,7 @@ from ..isa import RegClass
 from ..rename import make_scheme
 from ..rename.schemes import ReleaseScheme
 from .config import CoreConfig
-from .probes import Probe, ProbeManager, RegisterEventProbe
+from .probes import Probe, ProbeManager
 from .stages import (
     CommitStage,
     ExecuteStage,
@@ -40,7 +40,7 @@ from .stages import (
     StagePipeline,
 )
 from .state import PipelineState, build_state
-from .stats import RegisterEventLog, SimStats
+from .stats import SimStats
 from .warmup import WarmupState, fast_forward
 
 
@@ -93,18 +93,10 @@ class Core:
                  warmup: Optional[WarmupState] = None):
         config.validate()
         if scheme is None:
-            scheme = make_scheme(config.scheme, config.redefine_delay,
-                                 config.scheme_debug_checks)
+            scheme = make_scheme(config.scheme, config.redefine_delay)
         if warmup is None:  # a cold core starts from the stop-0 checkpoint
             warmup, = fast_forward(config, trace, [0])
         self.state = build_state(config, trace, scheme, warmup)
-
-        #: Register-event log for the analysis package (probe-fed).
-        self.event_log: Optional[RegisterEventLog] = None
-        if config.record_register_events:
-            self.event_log = RegisterEventLog()
-            self.add_probe(RegisterEventProbe(self.event_log))
-
         self.stages = self._build_stages(self.state)
         self._pipeline = self.stages.in_order
         # Hot-loop caches: bound stage methods (one LOAD_FAST + call per
@@ -161,8 +153,6 @@ class Core:
     branch_unit = property(lambda self: self.state.branch_unit)
     memory = property(lambda self: self.state.memory)
     checkpoints = property(lambda self: self.state.checkpoints)
-    #: Per-committed-instruction timeline rows when record_timeline is set.
-    timeline = property(lambda self: self.state.timeline)
     cycle = property(lambda self: self.state.cycle,
                      lambda self, v: setattr(self.state, "cycle", v))
 

@@ -163,44 +163,6 @@ class ProbeManager:
         return len(self.probes)
 
 
-class RegisterEventProbe(Probe):
-    """Adapter feeding a :class:`~repro.pipeline.stats.RegisterEventLog`
-    from probe events (replaces the core's hard-wired log calls)."""
-
-    def __init__(self, log):
-        self.log = log
-
-    def on_allocate(self, entry, cycle: int) -> None:
-        log = self.log
-        trace_seq = entry.trace_seq
-        wrong_path = entry.wrong_path
-        for record in entry.dests:
-            log.on_allocate(record.file, record.new_ptag, trace_seq, cycle,
-                            wrong_path)
-            log.on_redefine(record.file, record.prev_ptag, entry, cycle)
-
-    def on_issue(self, entry, cycle: int) -> None:
-        if entry.wrong_path:
-            return
-        log = self.log
-        for file_cls, _slot, ptag in entry.src_ptags:
-            log.on_consume(file_cls, ptag, cycle)
-
-    def on_precommit(self, entry, cycle: int) -> None:
-        self.log.on_redefiner_precommit(entry, cycle)
-
-    def on_commit(self, entry, cycle: int) -> None:
-        self.log.on_redefiner_commit(entry, cycle)
-
-    def on_flush(self, flushed, kind: str, cycle: int) -> None:
-        log = self.log
-        for entry in flushed:
-            log.on_redefiner_flush(entry)
-
-    def on_early_release(self, file_cls, ptag: int, cycle: int) -> None:
-        self.log.on_early_release(file_cls, ptag, cycle)
-
-
 class RecordingProbe(Probe):
     """Records every event as ``(event, cycle, detail)`` triples — the
     reference subscriber for stage-order and wiring tests."""

@@ -18,8 +18,6 @@ from typing import Iterator, List, Optional
 from ..branch import Prediction
 from ..isa import Instruction
 
-_NO_CYCLE = -1
-
 
 class ROBEntry:
     """One in-flight instruction, from fetch to commit or squash.
@@ -43,7 +41,6 @@ class ROBEntry:
         "mem_addr",
         "wrong_path",
         "ready_cycle",
-        "cycle_fetch",
         "prediction",
         "mispredicted",
         # Rename onwards
@@ -53,22 +50,15 @@ class ROBEntry:
         "completed",
         "resolved",
         "precommitted",
-        "committed",
         "squashed",
         "unready_sources",
-        "cycle_rename",
-        "cycle_issue",
-        "cycle_complete",
-        "cycle_precommit",
-        "cycle_commit",
         "has_checkpoint",
-        "pending_lifetimes",
     )
 
     def __init__(self, seq: int, trace_seq: int, pc: int, instr: Instruction,
                  next_pc: int, taken: bool = False,
                  mem_addr: Optional[int] = None, wrong_path: bool = False,
-                 cycle_fetch: int = 0, ready_cycle: int = 0):
+                 ready_cycle: int = 0):
         self.seq = seq
         self.trace_seq = trace_seq
         self.pc = pc
@@ -78,7 +68,6 @@ class ROBEntry:
         self.mem_addr = mem_addr
         self.wrong_path = wrong_path
         self.ready_cycle = ready_cycle
-        self.cycle_fetch = cycle_fetch
         self.prediction: Optional[Prediction] = None
         self.mispredicted = False
         # Rename replaces these with its DestRecord list and its
@@ -89,17 +78,9 @@ class ROBEntry:
         self.completed = False
         self.resolved = not instr.is_control
         self.precommitted = False
-        self.committed = False
         self.squashed = False
         self.unready_sources = 0
-        self.cycle_rename = _NO_CYCLE
-        self.cycle_issue = _NO_CYCLE
-        self.cycle_complete = _NO_CYCLE
-        self.cycle_precommit = _NO_CYCLE
-        self.cycle_commit = _NO_CYCLE
         self.has_checkpoint = False
-        # Register-event log bookkeeping (RegisterEventLog.on_redefine).
-        self.pending_lifetimes = ()
 
     def __repr__(self) -> str:  # pragma: no cover
         flags = "".join(

@@ -45,7 +45,7 @@ class Stage:
 
 from .commit import CommitStage
 from .execute import ExecuteStage, ExecuteUnit
-from .fetch import FetchStage, make_predictor
+from .fetch import FetchStage
 from .flush import FlushStage
 from .issue import PORT_GROUPS, IssueStage, enqueue_ready
 from .precommit import PrecommitStage
@@ -78,5 +78,5 @@ __all__ = [
     "Stage", "StagePipeline",
     "FetchStage", "RenameStage", "IssueStage", "ExecuteStage",
     "ExecuteUnit", "PrecommitStage", "CommitStage", "FlushStage",
-    "PORT_GROUPS", "enqueue_ready", "make_predictor",
+    "PORT_GROUPS", "enqueue_ready",
 ]

@@ -2,8 +2,8 @@
 
 Stores write the memory image here (address/value were captured at
 issue), and the release scheme's commit hook performs conventional
-frees.  Per-instruction timeline rows are appended when
-``config.record_timeline`` is set.
+frees.  The ``commit`` probe event fires after that hook; per-instruction
+stage timelines are a probe (:class:`~repro.pipeline.stats.TimelineProbe`).
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ class CommitStage(Stage):
 
     def __init__(self, state):
         super().__init__(state)
-        config = self.config
-        self.width = config.retire_width
-        self.record_timeline = config.record_timeline
+        self.width = self.config.retire_width
         self.rob = state.rob
         self.on_commit = state.scheme.on_commit
         self.checkpoints = state.checkpoints
@@ -29,7 +27,6 @@ class CommitStage(Stage):
         self.stats = state.stats
         self.stores = state.stores
         self.mem_values = state.mem_values
-        self.timeline = state.timeline
         #: ``committed_by_class`` key of each op class.
         self.class_names = {op_class: op_class.value for op_class in OpClass}
 
@@ -49,8 +46,6 @@ class CommitStage(Stage):
             if not entry.completed or not entry.precommitted:
                 break
             rob.pop_head()
-            entry.committed = True
-            entry.cycle_commit = cycle
             instr = entry.instr
             if instr.is_store:
                 self._commit_store(state, entry, cycle)
@@ -67,12 +62,6 @@ class CommitStage(Stage):
             stats.committed += 1
             name = class_names[instr.op_class]
             by_class[name] = by_class.get(name, 0) + 1
-            if self.record_timeline:
-                self.timeline.append(
-                    (entry.trace_seq, entry.pc, entry.cycle_rename,
-                     entry.cycle_issue, entry.cycle_complete,
-                     entry.cycle_precommit, entry.cycle_commit)
-                )
 
     def _commit_store(self, state, entry, cycle: int) -> None:
         record = self.stores.pop(entry.seq, None)

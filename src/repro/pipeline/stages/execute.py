@@ -198,7 +198,6 @@ class ExecuteStage(Stage):
                 results.pop(entry.seq, None)
                 continue
             entry.completed = True
-            entry.cycle_complete = cycle
             if probes is not None:
                 for fn in probes.writeback:
                     fn(entry, cycle)

@@ -11,21 +11,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ...branch import PREDICTORS, Prediction
+from ...branch import Prediction
 from ...isa import I_BYTES
 from ..rob import ROBEntry
 from . import Stage
-
-
-def make_predictor(name: str):
-    """Build a direction predictor from the shared registry."""
-    try:
-        factory = PREDICTORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown predictor {name!r}; valid: {', '.join(sorted(PREDICTORS))}"
-        ) from None
-    return factory()
 
 
 class FetchStage(Stage):
@@ -84,7 +73,7 @@ class FetchStage(Stage):
                     break
                 instr, next_pc, mem_addr = supplied
                 entry = ROBEntry(seq, -1, pc, instr, next_pc, False, mem_addr,
-                                 True, cycle, ready_at)
+                                 True, ready_at)
             else:
                 cursor = state.cursor
                 if cursor >= len(trace_entries):
@@ -92,8 +81,7 @@ class FetchStage(Stage):
                 traced = trace_entries[cursor]
                 pc = traced.pc
                 entry = ROBEntry(seq, cursor, pc, traced.instr, traced.next_pc,
-                                 traced.taken, traced.mem_addr, False, cycle,
-                                 ready_at)
+                                 traced.taken, traced.mem_addr, False, ready_at)
             # The seq is spent even when an icache miss drops the entry
             # (wrong-path pseudo-addresses depend on it).
             state.next_seq = seq + 1

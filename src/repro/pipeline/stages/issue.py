@@ -72,7 +72,6 @@ class IssueStage(Stage):
                     deferred.append((seq, entry))
                     continue
                 entry.issued = True
-                entry.cycle_issue = cycle
                 state.rs_used -= 1
                 # Probes first: the sanitizer's use-after-release / underflow
                 # checks must observe the consumer counts before the scheme's

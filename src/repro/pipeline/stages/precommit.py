@@ -41,7 +41,6 @@ class PrecommitStage(Stage):
             if not entry.resolved:
                 break
             entry.precommitted = True
-            entry.cycle_precommit = cycle
             if on_precommit is not None:
                 on_precommit(entry, cycle)
             if controller is not None:

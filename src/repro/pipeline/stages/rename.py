@@ -101,7 +101,6 @@ class RenameStage(Stage):
             rob_free -= 1
             renamed += 1
 
-            entry.cycle_rename = cycle
             if instr.src_plan:
                 entry.src_ptags = rename_unit.lookup_sources(instr)
             # Sources event fires before destination allocation (which could

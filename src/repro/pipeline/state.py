@@ -123,7 +123,6 @@ class PipelineState:
 
     # Observation / control
     probes: Optional[object] = None  # ProbeManager, or None when unprobed
-    timeline: List[tuple] = field(default_factory=list)
     interrupt_controller: Optional[object] = None
     interrupt_fetch_stall: bool = False
     last_committed_trace_seq: int = -1

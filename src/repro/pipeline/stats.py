@@ -1,11 +1,17 @@
-"""Simulation statistics and the register-lifetime event log.
+"""Simulation statistics and the two observers the analysis reads.
 
 ``SimStats`` aggregates everything a run reports (IPC, stall breakdown,
-flush counts).  ``RegisterEventLog`` records, per physical-register
-allocation on the committed path, the five lifecycle events of paper
-section 3.1 — Renamed, Consumed (last consumer executes), Redefined,
-Redefiner-Precommitted, Redefiner-Committed — which the analysis package
-turns into Figures 4 and 14.
+flush counts).  The observers are plain probes (:mod:`.probes`), attached
+with ``Core.add_probe``, so an unobserved core pays nothing for them:
+
+* :class:`RegisterEventLog` records, per physical-register allocation on
+  the committed path, the five lifecycle events of paper section 3.1 —
+  Renamed, Consumed (last consumer executes), Redefined,
+  Redefiner-Precommitted, Redefiner-Committed — which the analysis
+  package turns into Figures 4 and 14;
+* :class:`TimelineProbe` records each committed instruction's stage
+  cycles, the rows of the Figure 5 table
+  (:func:`repro.analysis.timeline_table`).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from ..isa import RegClass
+from .probes import Probe
 
 
 @dataclass
@@ -41,13 +48,6 @@ class SimStats:
     @property
     def ipc(self) -> float:
         return self.committed / self.cycles if self.cycles else 0.0
-
-    @property
-    def total_rename_stalls(self) -> int:
-        return (
-            self.stall_freelist + self.stall_rob + self.stall_rs
-            + self.stall_lq + self.stall_sq
-        )
 
     def to_dict(self) -> Dict:
         """JSON-serializable form (see :mod:`repro.harness.serialize`)."""
@@ -113,7 +113,7 @@ class RegisterLifetime:
         return lifetime
 
 
-class RegisterEventLog:
+class RegisterEventLog(Probe):
     """Collects committed-path :class:`RegisterLifetime` chains.
 
     Only chains whose allocator *and* redefiner both commit are finalized;
@@ -124,40 +124,46 @@ class RegisterEventLog:
     def __init__(self):
         # (file, ptag) -> open lifetime of the current allocation
         self._open: Dict[tuple, RegisterLifetime] = {}
+        # redefiner seq -> the chains its rename displaced
+        self._pending: Dict[int, List[RegisterLifetime]] = {}
         self.records: List[RegisterLifetime] = []
 
-    def on_allocate(self, file: RegClass, ptag: int, seq: int, cycle: int,
-                    wrong_path: bool) -> None:
-        if wrong_path:
+    def on_allocate(self, entry, cycle: int) -> None:
+        if entry.wrong_path:
             # Wrong-path allocations are not tracked; a wrong-path
             # reallocation of an early-released ptag leaves the committed
             # chain (still pending its redefiner's commit) untouched.
             return
-        self._open[(file, ptag)] = RegisterLifetime(file, ptag, seq, cycle)
+        open_chains = self._open
+        trace_seq = entry.trace_seq
+        for record in entry.dests:
+            file = record.file
+            open_chains[(file, record.new_ptag)] = RegisterLifetime(
+                file, record.new_ptag, trace_seq, cycle)
+            # The SRT mapping of prev_ptag was displaced by this entry.
+            lifetime = open_chains.get((file, record.prev_ptag))
+            if lifetime is not None:
+                lifetime.redefine_seq = trace_seq
+                lifetime.redefine_cycle = cycle
+                self._pending.setdefault(entry.seq, []).append(lifetime)
 
-    def on_consume(self, file: RegClass, ptag: int, cycle: int) -> None:
-        lifetime = self._open.get((file, ptag))
-        if lifetime is not None:
-            lifetime.consumer_count += 1
-            if lifetime.last_consume_cycle is None or cycle > lifetime.last_consume_cycle:
-                lifetime.last_consume_cycle = cycle
-
-    def on_redefine(self, file: RegClass, ptag: int, redefiner_entry, cycle: int) -> None:
-        """The SRT mapping of *ptag* was displaced by *redefiner_entry*."""
-        lifetime = self._open.get((file, ptag))
-        if lifetime is None or redefiner_entry.wrong_path:
+    def on_issue(self, entry, cycle: int) -> None:
+        if entry.wrong_path:
             return
-        lifetime.redefine_seq = redefiner_entry.trace_seq
-        lifetime.redefine_cycle = cycle
-        redefiner_entry.pending_lifetimes = (
-            *redefiner_entry.pending_lifetimes, lifetime)
+        open_chains = self._open
+        for file, _slot, ptag in entry.src_ptags:
+            lifetime = open_chains.get((file, ptag))
+            if lifetime is not None:
+                lifetime.consumer_count += 1
+                if lifetime.last_consume_cycle is None or cycle > lifetime.last_consume_cycle:
+                    lifetime.last_consume_cycle = cycle
 
-    def on_redefiner_precommit(self, entry, cycle: int) -> None:
-        for lifetime in entry.pending_lifetimes:
+    def on_precommit(self, entry, cycle: int) -> None:
+        for lifetime in self._pending.get(entry.seq, ()):
             lifetime.redefiner_precommit_cycle = cycle
 
-    def on_redefiner_commit(self, entry, cycle: int) -> None:
-        for lifetime in entry.pending_lifetimes:
+    def on_commit(self, entry, cycle: int) -> None:
+        for lifetime in self._pending.pop(entry.seq, ()):
             lifetime.redefiner_commit_cycle = cycle
             self.records.append(lifetime)
             key = (lifetime.file, lifetime.ptag)
@@ -165,17 +171,59 @@ class RegisterEventLog:
             # younger chain already; only close the chain we own.
             if self._open.get(key) is lifetime:
                 del self._open[key]
-        entry.pending_lifetimes = ()
 
-    def on_redefiner_flush(self, entry) -> None:
+    def on_flush(self, flushed, kind: str, cycle: int) -> None:
         """Un-redefine: the chains stay open for the next redefiner."""
-        for lifetime in entry.pending_lifetimes:
-            lifetime.redefine_seq = None
-            lifetime.redefine_cycle = None
-            lifetime.redefiner_precommit_cycle = None
-        entry.pending_lifetimes = ()
+        pending = self._pending
+        for entry in flushed:
+            for lifetime in pending.pop(entry.seq, ()):
+                lifetime.redefine_seq = None
+                lifetime.redefine_cycle = None
+                lifetime.redefiner_precommit_cycle = None
 
     def on_early_release(self, file: RegClass, ptag: int, cycle: int) -> None:
         lifetime = self._open.get((file, ptag))
         if lifetime is not None:
             lifetime.early_release_cycle = cycle
+
+
+class TimelineProbe(Probe):
+    """Per-committed-instruction stage cycles.
+
+    ``rows`` holds one ``(trace_seq, pc, rename, issue, complete,
+    precommit, commit)`` tuple per committed instruction, in commit
+    order.  Flushed instructions leave no row, and neither does one
+    renamed before the probe was attached.
+    """
+
+    def __init__(self):
+        self.rows: List[tuple] = []
+        # seq -> [rename, issue, complete, precommit] of a renamed entry
+        self._open: Dict[int, List[int]] = {}
+
+    def on_rename(self, entry, cycle: int) -> None:
+        self._open[entry.seq] = [cycle, -1, -1, -1]
+
+    def _stamp(self, entry, stage: int, cycle: int) -> None:
+        cycles = self._open.get(entry.seq)
+        if cycles is not None:
+            cycles[stage] = cycle
+
+    def on_issue(self, entry, cycle: int) -> None:
+        self._stamp(entry, 1, cycle)
+
+    def on_writeback(self, entry, cycle: int) -> None:
+        self._stamp(entry, 2, cycle)
+
+    def on_precommit(self, entry, cycle: int) -> None:
+        self._stamp(entry, 3, cycle)
+
+    def on_commit(self, entry, cycle: int) -> None:
+        cycles = self._open.pop(entry.seq, None)
+        if cycles is not None:
+            self.rows.append((entry.trace_seq, entry.pc, *cycles, cycle))
+
+    def on_flush(self, flushed, kind: str, cycle: int) -> None:
+        open_rows = self._open
+        for entry in flushed:
+            open_rows.pop(entry.seq, None)

@@ -41,7 +41,7 @@ import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..branch import BranchUnit
+from ..branch import BranchUnit, make_predictor
 from ..frontend import ArchState, Emulator, Trace, memory_image
 from ..isa import FLAGS, I_BYTES, NUM_INT_REGS, Program, RegClass
 from ..memory import MemoryHierarchy
@@ -132,8 +132,6 @@ def fast_forward(config: CoreConfig, trace: Trace,
     stop but the last gets a copy of the predictor, caches and written
     words; the last stop takes the live ones, since the pass ends there.
     """
-    from .stages.fetch import make_predictor
-
     entries = trace.entries
     ordered = sorted(set(stops))
     if ordered and (ordered[0] < 0 or ordered[-1] > len(entries)):

@@ -1,6 +1,6 @@
 """Rename substrate: free lists, SRT/RAT, PRT, checkpoints, release schemes."""
 
-from .errors import DoubleFreeError, FreeListEmptyError, RenameError, UseAfterFreeError
+from .errors import DoubleFreeError, FreeListEmptyError, RenameError
 from .freelist import FreeList
 from .physreg import PhysRegEntry, PhysRegTable
 from .rat import CheckpointPool, RegisterAliasTable
@@ -18,7 +18,7 @@ from .schemes import (
 from .unit import DestRecord, RenameFile, RenameUnit
 
 __all__ = [
-    "RenameError", "DoubleFreeError", "FreeListEmptyError", "UseAfterFreeError",
+    "RenameError", "DoubleFreeError", "FreeListEmptyError",
     "FreeList", "PhysRegTable", "PhysRegEntry",
     "RegisterAliasTable", "CheckpointPool",
     "RenameUnit", "RenameFile", "DestRecord",

@@ -23,11 +23,3 @@ class FreeListEmptyError(RenameError):
     fewer than MAX_DEST x WIDTH entries remain), so reaching it indicates
     a scheme bug or a mis-sized reserve.
     """
-
-
-class UseAfterFreeError(RenameError):
-    """An instruction read a physical register after it was freed.
-
-    Raised by the oracle release-safety monitor, never by the hardware
-    model itself (real hardware would silently read garbage).
-    """

@@ -11,7 +11,7 @@ an experiment.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, Set
 
 from .errors import DoubleFreeError, FreeListEmptyError
 
@@ -46,10 +46,6 @@ class FreeList:
     def free_count(self) -> int:
         return len(self.queue)
 
-    @property
-    def allocated_count(self) -> int:
-        return self.capacity - len(self.queue)
-
     def is_free(self, ptag: int) -> bool:
         return ptag in self._free_set
 
@@ -75,10 +71,6 @@ class FreeList:
         self.queue.append(ptag)
         self._free_set.add(ptag)
         self.total_frees += 1
-
-    def free_many(self, ptags: Iterable[int]) -> None:
-        for ptag in ptags:
-            self.free(ptag)
 
     def check_conservation(self, live_ptags: Iterable[int]) -> None:
         """Assert free + live partitions the ptag space exactly.

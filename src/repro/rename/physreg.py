@@ -184,6 +184,3 @@ class PhysRegTable:
 
     def is_redefined(self, ptag: int) -> bool:
         return self.entries[ptag].redefined_visible_cycle != NEVER
-
-    def clear_redefined(self, ptag: int) -> None:
-        self.entries[ptag].redefined_visible_cycle = NEVER

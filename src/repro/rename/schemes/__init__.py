@@ -1,11 +1,11 @@
 """Register release schemes: baseline, nonspec-ER, ATR, combined.
 
 The scheme catalog is the :data:`SCHEMES` registry: each entry is a
-factory ``(redefine_delay, debug_checks) -> ReleaseScheme``.  Every
-layer that needs the list of schemes — CLI ``choices=``, sweep grids,
-the service's job submission, ``repro list schemes`` — derives it from
-here, so registering a new scheme (in-tree or through the plugin hook,
-see :mod:`repro.registry`) is one declaration, not four edits.
+factory ``(redefine_delay) -> ReleaseScheme``.  Every layer that needs
+the list of schemes — CLI ``choices=``, the sweep and validate grids,
+``repro list schemes`` — derives it from here, so registering a new
+scheme (in-tree or through the plugin hook, see :mod:`repro.registry`)
+is one declaration, not four edits.
 """
 
 from .atr import AtrScheme
@@ -21,28 +21,23 @@ SCHEMES: Registry = Registry(
 
 
 @SCHEMES.register("baseline")
-def _make_baseline(redefine_delay: int = 0,
-                   debug_checks: bool = True) -> ReleaseScheme:
+def _make_baseline(redefine_delay: int = 0) -> ReleaseScheme:
     return BaselineScheme()
 
 
 @SCHEMES.register("nonspec_er")
-def _make_nonspec(redefine_delay: int = 0,
-                  debug_checks: bool = True) -> ReleaseScheme:
+def _make_nonspec(redefine_delay: int = 0) -> ReleaseScheme:
     return NonSpecEarlyReleaseScheme()
 
 
 @SCHEMES.register("atr")
-def _make_atr(redefine_delay: int = 0,
-              debug_checks: bool = True) -> ReleaseScheme:
-    return AtrScheme(redefine_delay=redefine_delay, debug_checks=debug_checks)
+def _make_atr(redefine_delay: int = 0) -> ReleaseScheme:
+    return AtrScheme(redefine_delay=redefine_delay)
 
 
 @SCHEMES.register("combined")
-def _make_combined(redefine_delay: int = 0,
-                   debug_checks: bool = True) -> ReleaseScheme:
-    return CombinedScheme(redefine_delay=redefine_delay,
-                          debug_checks=debug_checks)
+def _make_combined(redefine_delay: int = 0) -> ReleaseScheme:
+    return CombinedScheme(redefine_delay=redefine_delay)
 
 
 #: The built-in scheme names, frozen at import (back-compat constant;
@@ -50,14 +45,13 @@ def _make_combined(redefine_delay: int = 0,
 SCHEME_NAMES = SCHEMES.names()
 
 
-def make_scheme(name: str, redefine_delay: int = 0, debug_checks: bool = True) -> ReleaseScheme:
+def make_scheme(name: str, redefine_delay: int = 0) -> ReleaseScheme:
     """Factory for a registered release scheme.
 
     Args:
         name: A name in :data:`SCHEMES` (the paper's four, or a plugin).
         redefine_delay: Pipeline delay of the ATR redefinition signal
             (paper Figure 13 evaluates 0, 1, 2).
-        debug_checks: Cross-check ATR's flush walk against the oracle.
     """
     try:
         factory = SCHEMES.get(name)
@@ -65,7 +59,7 @@ def make_scheme(name: str, redefine_delay: int = 0, debug_checks: bool = True) -
         raise ValueError(
             f"unknown scheme {name!r}; expected one of {SCHEMES.names()}"
         ) from None
-    return factory(redefine_delay=redefine_delay, debug_checks=debug_checks)
+    return factory(redefine_delay=redefine_delay)
 
 
 __all__ = [

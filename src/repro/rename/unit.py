@@ -10,10 +10,9 @@ ptags return to the free list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..isa import INT_SRT_SLOTS, VEC_SRT_SLOTS, ArchReg, Instruction, RegClass
+from ..isa import INT_SRT_SLOTS, VEC_SRT_SLOTS, Instruction, RegClass
 from .freelist import FreeList
 from .physreg import NEVER, PhysRegTable
 from .rat import RegisterAliasTable
@@ -68,9 +67,6 @@ class RenameFile:
     def free_count(self) -> int:
         return self.freelist.free_count
 
-    def live_srt_ptags(self) -> Tuple[int, ...]:
-        return self.rat.live_ptags()
-
 
 class RenameUnit:
     """Both register files plus the per-instruction rename step."""
@@ -100,9 +96,6 @@ class RenameUnit:
         # lifetime.
         self._srt = {cls: file.rat.mapping for cls, file in self.files.items()}
         self._free = {cls: file.freelist.queue for cls, file in self.files.items()}
-
-    def file_of(self, reg: ArchReg) -> RenameFile:
-        return self.files[reg.cls.file]
 
     def can_rename(self, instr: Instruction) -> bool:
         """True if the free lists are above the stall watermark for the
@@ -160,13 +153,3 @@ class RenameUnit:
             self.files[RegClass.INT].rat.snapshot(),
             self.files[RegClass.VEC].rat.snapshot(),
         )
-
-    def restore_srt(self, snapshots: tuple) -> None:
-        self.files[RegClass.INT].rat.restore(snapshots[0])
-        self.files[RegClass.VEC].rat.restore(snapshots[1])
-
-    def all_live_srt_ptags(self):
-        """Iterate (file_class, ptag) over every current SRT mapping."""
-        for file_cls, file in self.files.items():
-            for ptag in file.rat.live_ptags():
-                yield file_cls, ptag

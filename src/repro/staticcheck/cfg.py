@@ -73,10 +73,6 @@ class CFG:
     def block_of(self, pc: int) -> BasicBlock:
         return self.blocks[self.block_index[pc]]
 
-    @property
-    def entry_block(self) -> BasicBlock:
-        return self.blocks[0]
-
     def reachable(self) -> Set[int]:
         """Block indices reachable from program entry along CFG edges."""
         seen: Set[int] = set()

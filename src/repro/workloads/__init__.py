@@ -16,7 +16,6 @@ from .suite import (
     WORKLOADS,
     Workload,
     WorkloadVariant,
-    build_suite,
     build_trace,
     builder_for,
     clear_trace_cache,
@@ -31,7 +30,7 @@ from .synthesis import PROFILES, WorkloadProfile, synthesize
 __all__ = [
     "SPEC_INT", "SPEC_FP", "ALL_BENCHMARKS",
     "WORKLOADS", "Workload", "WorkloadVariant",
-    "build_trace", "build_suite", "builder_for", "resolve", "is_fp",
+    "build_trace", "builder_for", "resolve", "is_fp",
     "split_variant", "workload_for", "workload_names",
     "clear_trace_cache",
     "WorkloadProfile", "synthesize", "PROFILES",

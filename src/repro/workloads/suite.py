@@ -297,9 +297,5 @@ def build_trace(name: str, instructions: int = 20_000, use_cache: bool = True) -
     return trace
 
 
-def build_suite(names, instructions: int = 20_000) -> List[Trace]:
-    return [build_trace(name, instructions) for name in names]
-
-
 def clear_trace_cache() -> None:
     _trace_cache.clear()

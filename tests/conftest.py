@@ -172,7 +172,7 @@ def buggy_atr_scheme():
     """Register :class:`BuggyAtr` as scheme ``buggy_atr`` (flush-walk
     debug checks off) for the test's duration, so configs, tiered runs
     and sweep cells can name it."""
-    SCHEMES.register(BuggyAtr.name, lambda redefine_delay=0, debug_checks=True:
-                     BuggyAtr(debug_checks=False))
+    SCHEMES.register(BuggyAtr.name,
+                     lambda redefine_delay=0: BuggyAtr(debug_checks=False))
     yield BuggyAtr.name
     SCHEMES.unregister(BuggyAtr.name)

@@ -1,7 +1,5 @@
 """Analysis package: region classification, lifetime shares, timing."""
 
-import dataclasses
-
 import pytest
 
 from repro.analysis import (
@@ -13,7 +11,7 @@ from repro.analysis import (
 )
 from repro.frontend import run_program
 from repro.isa import RegClass, assemble
-from repro.pipeline import Core, fast_test_config
+from repro.pipeline import Core, RegisterEventLog, TimelineProbe, fast_test_config
 
 
 def _report(src):
@@ -142,12 +140,10 @@ class TestRegionClassifier:
 class TestLifetime:
     def _records(self, src, scheme="baseline"):
         trace = run_program(assemble(src))
-        config = dataclasses.replace(
-            fast_test_config(scheme=scheme), record_register_events=True
-        )
-        core = Core(config, trace)
+        core = Core(fast_test_config(scheme=scheme), trace)
+        log = core.add_probe(RegisterEventLog())
         core.run()
-        return core.event_log.records
+        return log.records
 
     LOOP = """
         movi r1, 20
@@ -192,23 +188,21 @@ class TestTiming:
     def test_atomic_timing_ordering(self):
         src = TestLifetime.LOOP
         trace = run_program(assemble(src))
-        config = dataclasses.replace(
-            fast_test_config(), record_register_events=True, record_timeline=True
-        )
-        core = Core(config, trace)
+        core = Core(fast_test_config(), trace)
+        log = core.add_probe(RegisterEventLog())
         core.run()
         report = classify_regions(trace)
-        timing = atomic_event_timing(core.event_log.records, report)
+        timing = atomic_event_timing(log.records, report)
         assert timing.chains > 0
         assert timing.rename_to_redefine <= timing.rename_to_commit
         assert timing.rename_to_consume <= timing.rename_to_commit
 
     def test_timeline_table_renders(self):
         trace = run_program(assemble(TestLifetime.LOOP))
-        config = dataclasses.replace(fast_test_config(), record_timeline=True)
-        core = Core(config, trace)
+        core = Core(fast_test_config(), trace)
+        timeline = core.add_probe(TimelineProbe())
         core.run()
-        table = timeline_table(core.timeline, trace, start_seq=3, count=5)
+        table = timeline_table(timeline.rows, trace, start_seq=3, count=5)
         assert "Re" in table and "Pr" in table
         assert len(table.splitlines()) == 6  # header + 5 rows
 

@@ -148,9 +148,8 @@ class TestEveryRunEndsWithTheGoldenCheck:
     end-of-run golden check can stop the run from publishing numbers."""
 
     def test_detailed_run_raises(self):
-        config = dataclasses.replace(golden_cove_config(rf_size=64, scheme="atr"),
-                                     scheme_debug_checks=False)
-        core = Core(config, build_trace("525.x264_r", 5000),
+        core = Core(golden_cove_config(rf_size=64, scheme="atr"),
+                    build_trace("525.x264_r", 5000),
                     scheme=BuggyAtr(debug_checks=False))
         with pytest.raises(GoldenStateError) as excinfo:
             core.run()

@@ -5,9 +5,8 @@ import dataclasses
 import pytest
 
 from repro.frontend import final_state, run_program
-from repro.isa import RegClass, assemble
-from repro.pipeline import Core, CoreConfig, DeadlockError, fast_test_config, golden_cove_config
-from repro.workloads import synthesize, PROFILES
+from repro.isa import assemble
+from repro.pipeline import Core, DeadlockError, TimelineProbe, fast_test_config, golden_cove_config
 
 
 def _simulate(program, **config_kwargs):
@@ -215,10 +214,10 @@ class TestConfig:
 class TestTimeline:
     def test_stage_order_per_instruction(self, atomic_program):
         trace = run_program(atomic_program)
-        config = dataclasses.replace(fast_test_config(), record_timeline=True)
-        core = Core(config, trace)
+        core = Core(fast_test_config(), trace)
+        timeline = core.add_probe(TimelineProbe())
         core.run()
-        assert len(core.timeline) == len(trace)
-        for _seq, _pc, rename, issue, complete, precommit, commit in core.timeline:
+        assert len(timeline.rows) == len(trace)
+        for _seq, _pc, rename, issue, complete, precommit, commit in timeline.rows:
             assert rename <= issue <= complete <= commit
             assert precommit <= commit

@@ -11,6 +11,7 @@ from repro.memory import DramModel
 from repro.pipeline import Core, ROBEntry, fast_test_config, golden_cove_config
 from repro.pipeline.state import WORD, StoreRecord
 from repro.pipeline.stats import RegisterEventLog
+from repro.rename import DestRecord
 from repro.workloads import build_trace
 
 
@@ -71,51 +72,65 @@ class TestFrontendLimits:
 
 
 class TestEventLog:
-    def _entry(self, seq, wrong_path=False):
+    """The log's probe handlers, called with the payloads the stages emit."""
+
+    def _entry(self, seq, dest=None, sources=(), wrong_path=False):
+        """An entry renaming ``dest`` = (new ptag, displaced ptag) and
+        reading the INT ptags in *sources*."""
         instr = Instruction(Opcode.ADD, dests=(ireg(1),), srcs=(ireg(2), ireg(3)))
-        return ROBEntry(seq=seq, trace_seq=-1 if wrong_path else seq, pc=0,
-                        instr=instr, next_pc=1, wrong_path=wrong_path)
+        entry = ROBEntry(seq=seq, trace_seq=-1 if wrong_path else seq, pc=0,
+                         instr=instr, next_pc=1, wrong_path=wrong_path)
+        if dest is not None:
+            entry.dests = [DestRecord(RegClass.INT, 1, *dest, new_epoch=1)]
+        entry.src_ptags = [(RegClass.INT, 2, ptag) for ptag in sources]
+        return entry
 
     def test_chain_lifecycle(self):
         log = RegisterEventLog()
-        log.on_allocate(RegClass.INT, 5, seq=0, cycle=10, wrong_path=False)
-        log.on_consume(RegClass.INT, 5, cycle=14)
-        log.on_consume(RegClass.INT, 5, cycle=18)
-        redefiner = self._entry(3)
-        log.on_redefine(RegClass.INT, 5, redefiner, cycle=20)
-        log.on_redefiner_precommit(redefiner, cycle=25)
-        log.on_redefiner_commit(redefiner, cycle=30)
+        log.on_allocate(self._entry(0, dest=(5, 1)), cycle=10)
+        log.on_issue(self._entry(1, sources=(5,)), cycle=14)
+        log.on_issue(self._entry(2, sources=(5, 5)), cycle=18)
+        redefiner = self._entry(3, dest=(6, 5))
+        log.on_allocate(redefiner, cycle=20)
+        log.on_precommit(redefiner, cycle=25)
+        log.on_commit(redefiner, cycle=30)
         assert len(log.records) == 1
         record = log.records[0]
-        assert record.alloc_cycle == 10
+        assert (record.ptag, record.alloc_seq, record.alloc_cycle) == (5, 0, 10)
         assert record.last_consume_cycle == 18
-        assert record.consumer_count == 2
-        assert record.redefine_cycle == 20
+        assert record.consumer_count == 3
+        assert (record.redefine_seq, record.redefine_cycle) == (3, 20)
         assert record.redefiner_precommit_cycle == 25
         assert record.redefiner_commit_cycle == 30
         assert record.complete
+        assert not log._pending
 
     def test_flushed_redefiner_reopens_chain(self):
         log = RegisterEventLog()
-        log.on_allocate(RegClass.INT, 5, seq=0, cycle=10, wrong_path=False)
-        ghost = self._entry(3)
-        log.on_redefine(RegClass.INT, 5, ghost, cycle=20)
-        log.on_redefiner_flush(ghost)
-        real = self._entry(7)
-        log.on_redefine(RegClass.INT, 5, real, cycle=40)
-        log.on_redefiner_commit(real, cycle=50)
+        log.on_allocate(self._entry(0, dest=(5, 1)), cycle=10)
+        ghost = self._entry(3, dest=(6, 5))
+        log.on_allocate(ghost, cycle=20)
+        log.on_flush([ghost], "interrupt", cycle=22)
+        real = self._entry(7, dest=(8, 5))
+        log.on_allocate(real, cycle=40)
+        log.on_commit(ghost, cycle=45)  # a flushed seq closes nothing
+        assert not log.records
+        log.on_commit(real, cycle=50)
         assert len(log.records) == 1
-        assert log.records[0].redefine_cycle == 40
+        assert (log.records[0].redefine_seq, log.records[0].redefine_cycle) == (7, 40)
 
     def test_wrong_path_allocations_ignored(self):
         log = RegisterEventLog()
-        log.on_allocate(RegClass.INT, 5, seq=0, cycle=10, wrong_path=True)
-        log.on_consume(RegClass.INT, 5, cycle=12)
-        assert not log.records
-        redefiner = self._entry(3, wrong_path=True)
-        log.on_allocate(RegClass.INT, 6, seq=1, cycle=11, wrong_path=False)
-        log.on_redefine(RegClass.INT, 6, redefiner, cycle=20)
-        assert not redefiner.pending_lifetimes  # wrong-path redefiner ignored
+        log.on_allocate(self._entry(0, dest=(5, 1), wrong_path=True), cycle=10)
+        assert (RegClass.INT, 5) not in log._open
+        log.on_allocate(self._entry(1, dest=(6, 2)), cycle=11)
+        log.on_issue(self._entry(2, sources=(6,), wrong_path=True), cycle=12)
+        redefiner = self._entry(3, dest=(7, 6), wrong_path=True)
+        log.on_allocate(redefiner, cycle=20)
+        assert not log._pending  # wrong-path redefiner ignored
+        chain = log._open[(RegClass.INT, 6)]
+        assert chain.consumer_count == 0  # wrong-path consumer ignored
+        assert chain.redefine_seq is None
 
 
 class TestStoreForwarding:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.branch import PREDICTORS
+from repro.branch import PREDICTORS, make_predictor
 from repro.frontend import run_program
 from repro.isa import assemble
 from repro.pipeline import (
@@ -39,11 +39,9 @@ from repro.pipeline import (
     fast_test_config,
     golden_cove_config,
 )
-from repro.pipeline.stages import make_predictor
 from repro.validate.chaos import ChaosSpec, run_chaos_cell
 from repro.workloads import build_trace
 
-from tests.conftest import BRANCHY_SRC
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_stats.json"
 

@@ -80,8 +80,7 @@ class TestBrokenSchemeCaught:
     def test_use_after_release_fires_with_diagnostics(self):
         program = assemble(BUGGY_SRC, name="buggy")
         trace = run_program(program)
-        config = dataclasses.replace(_sanitized("atr"), lat_int_mul=20,
-                                     scheme_debug_checks=False)
+        config = dataclasses.replace(_sanitized("atr"), lat_int_mul=20)
         core = Core(config, trace, scheme=BuggyAtr(debug_checks=False))
         with pytest.raises(InvariantViolation) as excinfo:
             core.run()
@@ -105,8 +104,7 @@ class TestBrokenSchemeCaught:
         program = assemble(BUGGY_SRC, name="buggy")
         trace = run_program(program)
         config = dataclasses.replace(
-            fast_test_config(rf_size=28, scheme="atr"),
-            lat_int_mul=20, scheme_debug_checks=False)
+            fast_test_config(rf_size=28, scheme="atr"), lat_int_mul=20)
         core = Core(config, trace, scheme=BuggyAtr(debug_checks=False))
         core.run()  # no online check -> no InvariantViolation
 
