@@ -1,8 +1,9 @@
 """Sweep scheduler: shard specs over worker processes, isolate failures.
 
 Each cold spec runs in its own forked worker with a per-cell deadline;
-a worker that hangs is terminated and the cell retried once (then
-reported as a failure without sinking the sweep).  The scheduler builds
+a cell that fails or hangs (its worker is terminated) runs once more
+under the diagnostic executor, then is reported as a failure without
+sinking the sweep.  The scheduler builds
 each spec's trace before forking its worker, so workers inherit traces
 copy-on-write and every distinct trace is emulated once per sweep
 process, not once per cell.  Results travel back through the same JSON
@@ -31,9 +32,6 @@ from .serialize import decode_result, encode_result
 from .spec import Spec
 
 TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
-DEFAULT_RETRIES = 1
-#: Base delay before the first retry; doubles per subsequent attempt.
-DEFAULT_BACKOFF = 0.25
 #: Seconds between scheduler polls of the worker pipes.
 _POLL_INTERVAL = 0.05
 
@@ -74,7 +72,7 @@ def _fork_context():
 
 @dataclass
 class CellFailure:
-    """One spec that could not be computed (after retries)."""
+    """One spec that could not be computed, even when run again."""
 
     spec: Spec
     error: str
@@ -123,68 +121,46 @@ def _failure_error(first: Optional[str], last: str) -> str:
     return f"{first}\nretry: {last}"
 
 
-def _retry_delay(backoff: float, attempt: int) -> float:
-    """Exponential backoff before re-running a failed *attempt*."""
-    if backoff <= 0:
-        return 0.0
-    return backoff * (2 ** (attempt - 1))
-
-
-def _pick_executor(executor: Callable, diagnostic_executor: Optional[Callable],
-                   attempt: int) -> Callable:
-    """Retries (attempt > 1) run under the diagnostic executor, so a
-    reproducing crash comes back as a structured violation with a
-    pipeline snapshot instead of a bare exception string."""
-    if attempt > 1 and diagnostic_executor is not None:
-        return diagnostic_executor
-    return executor
-
-
 def run_specs(
     specs: List[Spec],
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
     executor: Optional[Callable] = None,
     progress: Optional[SweepProgress] = None,
-    backoff: float = DEFAULT_BACKOFF,
     diagnostic_executor: Optional[Callable] = None,
 ) -> Tuple[List[Tuple[Spec, object]], List[CellFailure]]:
     """Execute every spec; returns (completed ``(spec, result)``, failures).
 
     Order of the completed list follows completion time in parallel mode;
-    callers index results by spec, never by position.  Retries wait
-    ``backoff * 2**(attempt-1)`` seconds and run under
+    callers index results by spec, never by position.  A cell that fails
+    or times out runs once more, straight away, under
     *diagnostic_executor* (default: the standard executor with the
-    invariant sanitizer enabled) so transient failures get spacing and
-    deterministic crashes get a diagnosis.
+    invariant sanitizer enabled), so a deterministic crash comes back as
+    a structured violation with a pipeline snapshot; a custom *executor*
+    given without a diagnostic one runs again itself.
     """
     if executor is None:
         executor = execute_spec
         if diagnostic_executor is None:
             diagnostic_executor = execute_spec_diagnose
+    #: The executor of each attempt, first run then re-run.
+    attempts = (executor, diagnostic_executor or executor)
     progress = progress or SweepProgress()
     timeout = (default_timeout() if timeout is None
                else _positive_seconds(timeout, "timeout"))
     jobs = resolve_jobs(jobs)
     context = _fork_context()
     if jobs <= 1 or context is None:
-        return _run_serial(specs, retries, executor, progress, backoff,
-                           diagnostic_executor)
-    return _run_parallel(specs, jobs, timeout, retries, executor, progress,
-                         context, backoff, diagnostic_executor)
+        return _run_serial(specs, attempts, progress)
+    return _run_parallel(specs, jobs, timeout, attempts, progress, context)
 
 
-def _run_serial(specs, retries, executor, progress, backoff=DEFAULT_BACKOFF,
-                diagnostic_executor=None):
+def _run_serial(specs, attempts, progress):
     results: List[Tuple[Spec, object]] = []
     failures: List[CellFailure] = []
     for spec in specs:
         first_error = None
-        for attempt in range(1, retries + 2):
-            if attempt > 1:
-                time.sleep(_retry_delay(backoff, attempt - 1))
-            run = _pick_executor(executor, diagnostic_executor, attempt)
+        for attempt, run in enumerate(attempts, 1):
             started = time.monotonic()
             try:
                 # Round-trip through the wire encoding so serial results are
@@ -192,8 +168,8 @@ def _run_serial(specs, retries, executor, progress, backoff=DEFAULT_BACKOFF,
                 result = decode_result(encode_result(run(spec)))
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
-                if attempt <= retries:
-                    first_error = first_error or error
+                if attempt < len(attempts):
+                    first_error = error
                     progress.retry(spec, error)
                     continue
                 progress.fail(spec, error)
@@ -206,22 +182,20 @@ def _run_serial(specs, retries, executor, progress, backoff=DEFAULT_BACKOFF,
     return results, failures
 
 
-def _run_parallel(specs, jobs, timeout, retries, executor, progress, context,
-                  backoff=DEFAULT_BACKOFF, diagnostic_executor=None):
+def _run_parallel(specs, jobs, timeout, attempts, progress, context):
     results: List[Tuple[Spec, object]] = []
     failures: List[CellFailure] = []
-    #: (spec, attempt, not-before monotonic time)
-    pending = deque((spec, 1, 0.0) for spec in specs)
+    #: (spec, attempt)
+    pending = deque((spec, 1) for spec in specs)
     #: receive-pipe -> (spec, attempt, process, started)
     running: Dict[object, tuple] = {}
     first_errors: Dict[Spec, str] = {}
 
     def settle(spec, attempt, error):
-        if attempt <= retries:
-            first_errors.setdefault(spec, error)
+        if attempt < len(attempts):
+            first_errors[spec] = error
             progress.retry(spec, error)
-            pending.append((spec, attempt + 1,
-                            time.monotonic() + _retry_delay(backoff, attempt)))
+            pending.append((spec, attempt + 1))
         else:
             progress.fail(spec, error)
             failures.append(CellFailure(
@@ -230,15 +204,9 @@ def _run_parallel(specs, jobs, timeout, retries, executor, progress, context,
     try:
         while pending or running:
             while pending and len(running) < jobs:
-                spec, attempt, ready_at = pending[0]
-                # Retries land at the back of the deque, so a not-ready
-                # head means only backoff waits remain; the poll below
-                # keeps the loop ticking until it matures.
-                if time.monotonic() < ready_at:
-                    break
-                pending.popleft()
+                spec, attempt = pending.popleft()
                 _build_inherited_trace(spec)
-                run = _pick_executor(executor, diagnostic_executor, attempt)
+                run = attempts[attempt - 1]
                 receiver, sender = context.Pipe(duplex=False)
                 process = context.Process(
                     target=_worker, args=(run, spec, sender), daemon=True)

@@ -68,7 +68,6 @@ def sweep(
     jobs: Optional[int] = None,
     store=_UNSET,
     timeout: Optional[float] = None,
-    retries: int = 1,
     executor: Optional[Callable] = None,
     progress: Optional[SweepProgress] = None,
 ) -> SweepReport:
@@ -103,8 +102,8 @@ def sweep(
             cold.append(spec)
 
     computed, failures = run_specs(
-        cold, jobs=jobs, timeout=timeout, retries=retries,
-        executor=executor, progress=progress)
+        cold, jobs=jobs, timeout=timeout, executor=executor,
+        progress=progress)
     for spec, result in computed:
         results[spec] = result
         if store is not None:

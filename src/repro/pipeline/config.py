@@ -63,7 +63,6 @@ class CoreConfig:
     fetch_targets_per_cycle: int = 2
     ft_block_bytes: int = 64
     predictor: str = "tage"  # tage | gshare | bimodal | always_taken | always_not_taken
-    model_icache: bool = True
 
     # Recovery
     redirect_penalty: int = 3
@@ -74,10 +73,6 @@ class CoreConfig:
     # Release scheme
     scheme: str = "baseline"
     redefine_delay: int = 0
-
-    # Free-list stall watermark: MAX_DEST x rename width (paper 4.2.1).
-    # Our ISA has at most one destination per instruction.
-    max_dests_per_instr: int = 1
 
     # Memory hierarchy
     memory: HierarchyConfig = field(default_factory=HierarchyConfig)
@@ -92,7 +87,9 @@ class CoreConfig:
 
     @property
     def freelist_reserve(self) -> int:
-        return self.max_dests_per_instr * self.rename_width
+        """Free-list stall watermark: MAX_DEST x rename width (paper
+        4.2.1).  The ISA has at most one destination per instruction."""
+        return self.rename_width
 
     def with_rf_size(self, rf_size: int) -> "CoreConfig":
         """A copy with both register files sized to *rf_size*."""

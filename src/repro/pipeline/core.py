@@ -363,7 +363,6 @@ class Core:
             # _skip_target only skips past a renameable head when the free
             # list is the blocker.
             stats.stall_freelist += skipped
-            state.rename_unit.stall_cycles += skipped
 
     def step(self) -> None:
         """Advance one cycle through the documented phase order."""

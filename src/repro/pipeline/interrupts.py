@@ -4,33 +4,36 @@ Two service policies:
 
 * ``drain`` — stop fetching and let the ROB empty, then service.  Works
   unchanged with ATR (the paper's option (a)).
-* ``flush`` — squash the uncommitted window and service immediately, for
-  lower interrupt latency (the paper's option (b)).  With ATR this is
-  only safe once no *cross-boundary claim* is outstanding: a register
-  whose allocator already committed but whose ATR-claiming redefiner is
-  still in flight was (or may be) early released; flushing the redefiner
-  would un-redefine the register while its ptag is already on the free
-  list.  The paper's fix is a commit-stage counter of such open atomic
-  regions: keep committing until the counter reaches zero, then flush.
-  In the unlikely worst case this drains the whole ROB, which is still
-  correct — no ISA bounds interrupt service time.
+* ``flush`` — squash every instruction past the precommit pointer and
+  service once the precommitted prefix drains, for lower interrupt
+  latency (the paper's option (b)).  With ATR this is only safe while no
+  claim crosses that boundary: an instruction past the pointer that
+  claimed a register allocated at or before it may already have
+  released that register, and squashing the claimer would map the
+  register again while its ptag sits on the free list.  The paper's fix
+  is a commit-stage counter of open atomic regions: keep committing
+  until the counter reaches zero, then flush.  In the worst case this
+  drains the whole ROB, which is still correct — no ISA bounds
+  interrupt service time.
 
-The counter here follows the paper's description: it is incremented when
-an instruction commits whose destination register is still
-early-release-eligible (consumer count below no-early-release — a future
-redefiner may claim it), and decremented when the instruction that
-redefines such a register commits (its *previous ptag* closes the
-region, whether it was claimed — invalid prev — or conventionally
-freed).
+The simulator checks the condition that counter stands for directly, in
+every cycle an interrupt waits: no entry past the precommit pointer
+holds an ATR claim on a ptag allocated at or before the pointer.  A
+claim is a destination record whose ``release_prev`` is ``None``;
+non-speculative release takes ownership only at precommit, so past the
+pointer only ATR clears it.  A claim whose allocator is also past the
+pointer is squashed with it, as in a branch flush.  A counter opened
+for every claimable destination and closed at its redefiner's commit
+cannot stand in for the check: it stays above zero while any committed
+register is still claimable, so it would hold every flush off until the
+ROB had emptied.  A claim that did cross the boundary trips the end of
+ATR's flush walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
-
-from ..isa import RegClass
-from ..rename.schemes import AtrScheme
+from dataclasses import dataclass
+from typing import List, Optional
 
 
 @dataclass
@@ -38,7 +41,6 @@ class InterruptStats:
     """Per-run interrupt accounting."""
 
     serviced: int = 0
-    drained_instructions: int = 0
     flushed_instructions: int = 0
     wait_cycles: int = 0  # pending -> service start
     service_cycles_total: int = 0
@@ -70,12 +72,6 @@ class InterruptController:
         self._pending_since = 0
         self._servicing_until: Optional[int] = None
         self._flush_done = False
-        # ATR open-region counter state (flush policy).  Only ATR-style
-        # schemes (atr / combined) can create the dangerous cross-boundary
-        # claims; other schemes may flush immediately.
-        self._atr_like = isinstance(core.scheme, AtrScheme)
-        self.open_region_counter = 0
-        self._counted: Set[Tuple[RegClass, int]] = set()
         core.attach_interrupt_controller(self)
 
     # -- injection ----------------------------------------------------------
@@ -83,30 +79,6 @@ class InterruptController:
         """Raise an interrupt at *at_cycle* (may schedule several)."""
         self._pending_at.append(at_cycle)
         self._pending_at.sort()
-
-    # -- open-region counter (paper section 4.1) -------------------------------
-    def on_precommit(self, entry) -> None:
-        """Maintain the open-atomic-region counter.
-
-        Counted at *precommit* — the guaranteed-to-commit boundary that
-        interrupt flushes respect — rather than commit: a counted
-        register's allocator can then never be part of the squashed tail,
-        which is exactly the property the counter must witness.
-        """
-        if not self._atr_like:
-            return
-        for record in entry.dests:
-            file = self.core.rename_unit.files[record.file]
-            # Closing: this commit redefines a counted register.
-            key_prev = (record.file, record.prev_ptag)
-            if key_prev in self._counted:
-                self._counted.remove(key_prev)
-                self.open_region_counter -= 1
-            # Opening: the committed destination is still claimable
-            # (eligible for a future ATR release by its redefiner).
-            if not file.prt.is_no_early_release(record.new_ptag):
-                self._counted.add((record.file, record.new_ptag))
-                self.open_region_counter += 1
 
     # -- per-cycle hook -----------------------------------------------------------
     def tick(self, cycle: int) -> bool:
@@ -131,14 +103,9 @@ class InterruptController:
                 self._service(cycle)
             return True
 
-        # flush policy: wait for the open-region counter to clear, then
-        # squash the uncommitted window.  The counter is conservative
-        # (a counted register may later be bulk-marked and never close),
-        # so the paper's worst case applies: if the ROB drains naturally
-        # while we wait, service anyway — equivalent to the drain policy.
-        if not self._flush_done and (
-            self.open_region_counter == 0 or len(self.core.rob) == 0
-        ):
+        # flush policy: wait while an ATR claim crosses the precommit
+        # boundary, then squash everything past it.
+        if not self._flush_done and not self._claim_crosses_boundary():
             self.stats.flushed_instructions += self.core.interrupt_flush(cycle)
             self._flush_done = True
         if self._flush_done and len(self.core.rob) == 0:
@@ -146,6 +113,20 @@ class InterruptController:
             self._flush_done = False
             self._service(cycle)
         return True
+
+    def _claim_crosses_boundary(self) -> bool:
+        """True while an entry past the precommit pointer holds an ATR
+        claim on a ptag allocated at or before the pointer."""
+        rob = self.core.rob
+        entries = rob.entries
+        allocated = set()  # (file, ptag) allocated past the pointer
+        for index in range(rob.head_index + rob.precommit_offset, len(entries)):
+            for record in entries[index].dests:
+                if (record.release_prev is None
+                        and (record.file, record.prev_ptag) not in allocated):
+                    return True
+                allocated.add((record.file, record.new_ptag))
+        return False
 
     def _service(self, cycle: int) -> None:
         self._pending = False

@@ -35,7 +35,6 @@ class FetchStage(Stage):
         self.fetch_width = config.fetch_width
         self.fetch_targets = config.fetch_targets_per_cycle
         self.frontend_depth = config.frontend_depth
-        self.model_icache = config.model_icache
         self.ft_block_bytes = config.ft_block_bytes
         self.l1i_latency = config.memory.l1i_latency
         self.branch_unit = state.branch_unit
@@ -55,7 +54,6 @@ class FetchStage(Stage):
         probes = state.probes
         ready_at = cycle + self.frontend_depth
         trace_entries = self.trace.entries
-        model_icache = self.model_icache
         block_bytes = self.ft_block_bytes
         predict = self.predict
         slots = self.fetch_width
@@ -85,11 +83,10 @@ class FetchStage(Stage):
             # The seq is spent even when an icache miss drops the entry
             # (wrong-path pseudo-addresses depend on it).
             state.next_seq = seq + 1
-            if model_icache:
-                block = (pc * I_BYTES) // block_bytes
-                if block != state.last_fetch_block and not self._icache_ok(
-                        state, block, pc, cycle):
-                    break
+            block = (pc * I_BYTES) // block_bytes
+            if block != state.last_fetch_block and not self._icache_ok(
+                    state, block, pc, cycle):
+                break
             prediction, mispredicted, taken_redirect = predict(entry)
             entry.prediction = prediction
             entry.mispredicted = mispredicted

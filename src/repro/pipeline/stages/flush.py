@@ -75,9 +75,8 @@ class FlushStage(Stage):
         instructions are guaranteed to commit — an early-release scheme
         may already have freed their previous registers — so they drain
         normally while everything younger is squashed.  The caller (the
-        interrupt controller) has established via the open-region counter
-        that no ATR claim crosses that boundary; ATR's flush-walk
-        assertions enforce it in debug mode.
+        interrupt controller) has checked that no ATR claim crosses that
+        boundary; ATR's flush-walk assertions enforce it in debug mode.
 
         Returns the number of squashed instructions.
         """
@@ -120,7 +119,7 @@ class FlushStage(Stage):
         files = self.rename_unit.files
         for entry in flushed:
             for record in entry.dests:
-                files[record.file].rat.write(record.slot, record.prev_ptag)
+                files[record.file].srt[record.slot] = record.prev_ptag
 
     def _restart_frontend(self, state) -> None:
         state.fetch_queue.clear()

@@ -33,7 +33,6 @@ class PrecommitStage(Stage):
             end = len(entries)
         on_precommit = self.on_precommit
         probes = state.probes
-        controller = state.interrupt_controller
         while index < end:
             entry = entries[index]
             if entry.instr.may_except and not entry.issued:
@@ -43,8 +42,6 @@ class PrecommitStage(Stage):
             entry.precommitted = True
             if on_precommit is not None:
                 on_precommit(entry, cycle)
-            if controller is not None:
-                controller.on_precommit(entry)
             if probes is not None:
                 for fn in probes.precommit:
                     fn(entry, cycle)

@@ -93,7 +93,6 @@ class RenameStage(Stage):
             if instr.dest_counts and not rename_unit.can_rename(instr):
                 if renamed == 0:
                     stats.stall_freelist += 1
-                    rename_unit.stall_cycles += 1
                     self._stall(state, "freelist", cycle)
                 break
             fq_head += 1
@@ -112,7 +111,7 @@ class RenameStage(Stage):
             if pre_rename is not None:
                 pre_rename(entry, cycle)
             if instr.dest_plan:
-                entry.dests = rename_unit.allocate_dests(instr, cycle, entry.seq)
+                entry.dests = rename_unit.allocate_dests(instr)
             if probes is not None:
                 for fn in probes.allocate:
                     fn(entry, cycle)
@@ -153,9 +152,7 @@ class RenameStage(Stage):
                 and prediction is not None
                 and not prediction.confident
             ):
-                entry.has_checkpoint = self.checkpoints.take(
-                    entry.seq, rename_unit.srt_snapshots()
-                )
+                entry.has_checkpoint = self.checkpoints.take(entry.seq)
             if probes is not None:
                 for fn in probes.rename:
                     fn(entry, cycle)

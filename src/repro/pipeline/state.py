@@ -159,14 +159,14 @@ class PipelineState:
         committed stores) or, given *words*, only those addresses.
         """
         unit = self.rename_unit
-        int_rat = unit.files[RegClass.INT].rat
-        vec_rat = unit.files[RegClass.VEC].rat
+        int_srt = unit.files[RegClass.INT].srt
+        vec_srt = unit.files[RegClass.VEC].srt
         int_values = self.values[RegClass.INT]
         vec_values = self.values[RegClass.VEC]
         return ArchState(
-            int_regs=tuple(int_values[int_rat.read(ireg(i).srt_slot)] for i in range(16)),
-            vec_regs=tuple(vec_values[vec_rat.read(vreg(i).srt_slot)] for i in range(16)),
-            flags=int_values[int_rat.read(FLAGS.srt_slot)],
+            int_regs=tuple(int_values[int_srt[ireg(i).srt_slot]] for i in range(16)),
+            vec_regs=tuple(vec_values[vec_srt[vreg(i).srt_slot]] for i in range(16)),
+            flags=int_values[int_srt[FLAGS.srt_slot]],
             # Canonical form (zero words dropped) — the same helper the
             # golden-model comparisons apply to the emulator's state.
             memory=canonical_memory(memory_image(
@@ -179,7 +179,7 @@ class PipelineState:
         if len(self.rob) != 0:
             raise RuntimeError("conservation check requires an empty ROB")
         for file in self.rename_unit.files.values():
-            file.freelist.check_conservation(file.rat.live_ptags())
+            file.freelist.check_conservation(file.srt)
 
 
 def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
@@ -189,7 +189,7 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
     The core adopts the :class:`~.warmup.WarmupState` checkpoint's
     predictor, caches and written words, which then belong to this core
     alone (a second use of the checkpoint raises), and primes the
-    architectural registers through the initial RAT mapping, so the
+    architectural registers through the initial SRT mapping, so the
     run's value execution continues exactly from the checkpoint.  The
     state keeps those registers as ``start_regs``: the end-of-run golden
     check replays the run from them.
@@ -206,10 +206,10 @@ def build_state(config: CoreConfig, trace: Trace, scheme: ReleaseScheme,
               RegClass.VEC: [(0, 0, 0, 0)] * config.vec_rf_size}
     branch_unit, memory, mem_values = warmup.take()
     for file, arch_values in warmup.regs.items():
-        rat = rename_unit.files[file].rat
+        srt = rename_unit.files[file].srt
         file_values = values[file]
         for slot, value in enumerate(arch_values):
-            file_values[rat.read(slot)] = value
+            file_values[srt[slot]] = value
 
     return PipelineState(
         config=config,

@@ -24,7 +24,7 @@ every entry's pc, direction, target, address and committed result.
 * **architectural state** — registers, FLAGS, and the words stored
   since reset, rebuilt by committing each entry's recorded ``result``
   into an :class:`~repro.frontend.Emulator` that executes nothing, and
-  installed through the initial RAT so the window's value execution and
+  installed through the initial SRT so the window's value execution and
   end-of-window architectural comparison see the prefix's effects.  The
   program's data image stays shared underneath: no checkpoint copies it.
 
@@ -58,7 +58,7 @@ def _clone(obj):
 
 def prewarm_code_image(config: CoreConfig, memory: MemoryHierarchy,
                        program: Program) -> None:
-    """Fill L1I and L2 with *program*'s code image (if icache is modeled).
+    """Fill L1I and L2 with *program*'s code image.
 
     Warms the instruction side as the paper's methodology warms each
     SimPoint before measurement; kernels are loop-dominated, so an icache
@@ -67,8 +67,6 @@ def prewarm_code_image(config: CoreConfig, memory: MemoryHierarchy,
     included, so a window boundary is never colder than a detailed run
     from reset.
     """
-    if not config.model_icache:
-        return
     code_bytes = len(program) * I_BYTES
     for addr in range(0, code_bytes, config.memory.line_bytes):
         memory.l1i.fill(addr)
@@ -148,7 +146,6 @@ def fast_forward(config: CoreConfig, trace: Trace,
     commit = arch.commit
     predict, resolve = branch_unit.predict, branch_unit.resolve
     fetch, load, store = memory.fetch, memory.load, memory.store
-    model_icache = config.model_icache
     ft_block_bytes = config.ft_block_bytes
     last_fetch_block = -1
     executed = 0
@@ -159,13 +156,12 @@ def fast_forward(config: CoreConfig, trace: Trace,
             commit(record)
             pc = record.pc
             instr = record.instr
-            if model_icache:
-                block = (pc * I_BYTES) // ft_block_bytes
-                if block != last_fetch_block:
-                    fetch(index, pc * I_BYTES)
-                    last_fetch_block = block
-                if record.taken:
-                    last_fetch_block = -1
+            block = (pc * I_BYTES) // ft_block_bytes
+            if block != last_fetch_block:
+                fetch(index, pc * I_BYTES)
+                last_fetch_block = block
+            if record.taken:
+                last_fetch_block = -1
             if instr.is_control and not instr.is_halt:
                 resolve(pc, instr, predict(pc, instr), record.taken,
                         record.next_pc)

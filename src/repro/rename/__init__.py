@@ -1,9 +1,8 @@
-"""Rename substrate: free lists, SRT/RAT, PRT, checkpoints, release schemes."""
+"""Rename substrate: free lists, SRTs, PRT, checkpoints, release schemes."""
 
 from .errors import DoubleFreeError, FreeListEmptyError, RenameError
 from .freelist import FreeList
 from .physreg import PhysRegEntry, PhysRegTable
-from .rat import CheckpointPool, RegisterAliasTable
 from .schemes import (
     SCHEME_NAMES,
     SCHEMES,
@@ -15,13 +14,12 @@ from .schemes import (
     SchemeStats,
     make_scheme,
 )
-from .unit import DestRecord, RenameFile, RenameUnit
+from .unit import CheckpointPool, DestRecord, RenameFile, RenameUnit
 
 __all__ = [
     "RenameError", "DoubleFreeError", "FreeListEmptyError",
     "FreeList", "PhysRegTable", "PhysRegEntry",
-    "RegisterAliasTable", "CheckpointPool",
-    "RenameUnit", "RenameFile", "DestRecord",
+    "CheckpointPool", "RenameUnit", "RenameFile", "DestRecord",
     "ReleaseScheme", "SchemeStats", "BaselineScheme", "NonSpecEarlyReleaseScheme",
     "AtrScheme", "CombinedScheme", "make_scheme", "SCHEMES", "SCHEME_NAMES",
 ]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import List
 
-#: The value of a cycle or seq field that has never been set.
+#: The value of a cycle field that has never been set.
 NEVER = -1
 
 
@@ -46,8 +46,6 @@ class PhysRegEntry:
         "redefined_visible_cycle",
         "early_released",
         "epoch",
-        "allocated_cycle",
-        "allocator_seq",
     )
 
     def __init__(self):
@@ -62,8 +60,6 @@ class PhysRegEntry:
         self.redefined_visible_cycle = NEVER
         self.early_released = False
         self.epoch = 0
-        self.allocated_cycle = NEVER
-        self.allocator_seq = NEVER
 
 
 class PhysRegTable:
@@ -85,7 +81,7 @@ class PhysRegTable:
         self.entries: List[PhysRegEntry] = [PhysRegEntry() for _ in range(capacity)]
         self.saturation_events = 0
 
-    def on_allocate(self, ptag: int, cycle: int, seq: int) -> None:
+    def on_allocate(self, ptag: int) -> None:
         """Reset metadata when *ptag* is handed out by the free list.
 
         :meth:`~repro.rename.unit.RenameUnit.allocate_dests` performs the
@@ -99,8 +95,6 @@ class PhysRegTable:
         e.redefined_visible_cycle = NEVER
         e.early_released = False
         e.epoch += 1
-        e.allocated_cycle = cycle
-        e.allocator_seq = seq
 
     # -- consumer counting ---------------------------------------------------
     def add_consumer(self, ptag: int) -> None:

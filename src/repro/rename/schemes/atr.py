@@ -97,7 +97,7 @@ class AtrScheme(ConsumerTrackingScheme):
         self.stats.bulk_mark_events += 1
         for file in self.unit.files.values():
             self.stats.bulk_marked_ptags += file.prt.bulk_no_early_release(
-                file.rat.live_ptags()
+                file.srt
             )
 
     def post_rename(self, entry, cycle: int) -> None:

@@ -115,9 +115,6 @@ class ReleaseScheme:
     """Base scheme: owns no policy, provides shared plumbing."""
 
     name = "abstract"
-    #: Whether the pipeline should maintain the precommit pointer for this
-    #: scheme (it always does for analysis; this flag is informational).
-    uses_precommit = False
 
     def __init__(self):
         self.stats = SchemeStats()

@@ -25,7 +25,6 @@ class CombinedScheme(NonSpecRelease, AtrScheme):
     """
 
     name = "combined"
-    uses_precommit = True
 
     def __init__(self, redefine_delay: int = 0, debug_checks: bool = True):
         super().__init__(

@@ -92,7 +92,6 @@ class NonSpecEarlyReleaseScheme(NonSpecRelease, ConsumerTrackingScheme):
     """Early release gated on the redefiner's precommit."""
 
     name = "nonspec_er"
-    uses_precommit = True
 
     def __init__(self):
         super().__init__(restore_counts_on_flush=True)

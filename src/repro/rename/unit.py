@@ -6,6 +6,10 @@ register file assumption.  It performs the mechanical part of renaming —
 source lookup, destination allocation, SRT update, previous-ptag capture —
 while the pluggable release scheme (``repro.rename.schemes``) decides when
 ptags return to the free list.
+
+Each file's SRT (the speculative renaming table, paper section 4.2.1) is
+a plain list indexed by SRT slot: 17 slots in the integer file (16 GPRs +
+FLAGS), 16 in the vector file.
 """
 
 from __future__ import annotations
@@ -15,14 +19,13 @@ from typing import Dict, List, Optional, Tuple
 from ..isa import INT_SRT_SLOTS, VEC_SRT_SLOTS, Instruction, RegClass
 from .freelist import FreeList
 from .physreg import NEVER, PhysRegTable
-from .rat import RegisterAliasTable
 
 
 class DestRecord:
     """Rename metadata for one destination of one in-flight instruction.
 
     ``prev_ptag`` always holds the SRT mapping this rename displaced and is
-    used for RAT recovery on a flush.  ``release_prev`` starts equal to it
+    used for SRT recovery on a flush.  ``release_prev`` starts equal to it
     and is *invalidated* (set to ``None``) by a scheme that takes ownership
     of freeing that ptag — the paper's double-free avoidance (section
     4.2.4): each ptag is freed by exactly one mechanism.
@@ -59,13 +62,47 @@ class RenameFile:
         self.size = size
         self.freelist = FreeList(size)
         # The first arch_slots ptags back the initial architectural state.
-        initial = [self.freelist.allocate() for _ in range(arch_slots)]
-        self.rat = RegisterAliasTable(arch_slots, initial)
+        # The list keeps its identity for the file's lifetime.
+        self.srt: List[int] = [self.freelist.allocate() for _ in range(arch_slots)]
         self.prt = PhysRegTable(size, counter_bits=counter_bits)
 
-    @property
-    def free_count(self) -> int:
-        return self.freelist.free_count
+
+class CheckpointPool:
+    """The branches that own an SRT checkpoint, by sequence number.
+
+    Real hardware checkpoints the SRT only on low-confidence branches
+    because checkpoint storage is expensive, and a branch that finds the
+    pool full goes without.  Recovery at a checkpointed branch takes
+    ``checkpoint_recovery_cycles``; any other recovery walks the flushed
+    entries.  The simulator always restores the SRT by that walk (the
+    two are equivalent), so the pool holds no mappings, only seqs,
+    oldest first.
+    """
+
+    def __init__(self, capacity: int = 8):
+        self.capacity = capacity
+        self.seqs: List[int] = []
+        self.taken = 0
+
+    def take(self, branch_seq: int) -> bool:
+        """Checkpoint at *branch_seq*; returns False if the pool is full."""
+        if len(self.seqs) >= self.capacity:
+            return False
+        self.seqs.append(branch_seq)
+        self.taken += 1
+        return True
+
+    def has_exact(self, branch_seq: int) -> bool:
+        return branch_seq in self.seqs
+
+    def release_older_equal(self, seq: int) -> None:
+        """Free checkpoints for branches at or older than *seq* (they
+        resolved)."""
+        self.seqs = [s for s in self.seqs if s > seq]
+
+    def squash_younger(self, seq: int) -> None:
+        """Drop checkpoints younger than *seq* (their branches flushed)."""
+        self.seqs = [s for s in self.seqs if s <= seq]
 
 
 class RenameUnit:
@@ -90,11 +127,10 @@ class RenameUnit:
             RegClass.VEC: RenameFile("vec", VEC_SRT_SLOTS, vec_size, counter_bits),
         }
         self.reserve = reserve
-        self.stall_cycles = 0
         # Per-file SRT lists and free queues, read directly on the
         # per-instruction path; both keep their identity for the unit's
         # lifetime.
-        self._srt = {cls: file.rat.mapping for cls, file in self.files.items()}
+        self._srt = {cls: file.srt for cls, file in self.files.items()}
         self._free = {cls: file.freelist.queue for cls, file in self.files.items()}
 
     def can_rename(self, instr: Instruction) -> bool:
@@ -120,7 +156,7 @@ class RenameUnit:
             sources.append((file_cls, slot, srt[file_cls][slot]))
         return sources
 
-    def allocate_dests(self, instr: Instruction, cycle: int, seq: int) -> List[DestRecord]:
+    def allocate_dests(self, instr: Instruction) -> List[DestRecord]:
         """Allocate a new ptag per destination and update the SRT.
 
         Caller must have checked :meth:`can_rename`.
@@ -140,16 +176,7 @@ class RenameUnit:
             e.redefined_visible_cycle = NEVER
             e.early_released = False
             e.epoch += 1
-            e.allocated_cycle = cycle
-            e.allocator_seq = seq
-            srt = file.rat.mapping
+            srt = file.srt
             records.append(DestRecord(file_cls, slot, new_ptag, srt[slot], e.epoch))
             srt[slot] = new_ptag
         return records
-
-    def srt_snapshots(self) -> tuple:
-        """(int, vec) SRT snapshots, for checkpoints."""
-        return (
-            self.files[RegClass.INT].rat.snapshot(),
-            self.files[RegClass.VEC].rat.snapshot(),
-        )

@@ -25,6 +25,7 @@ cost.  Pure-detailed simulation stays available (and bit-exact) through
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict, List, Tuple
 
 from .frontend import Trace
@@ -34,25 +35,38 @@ from .pipeline.warmup import fast_forward
 from .rename.schemes.base import SchemeStats
 from .workloads.simpoint import SimPoint, pick_simpoints, slice_trace, weighted_mean
 
-#: SimStats counters reconstituted by weighted per-instruction rate.
-_SCALED_SIM_COUNTERS = (
-    "fetched", "renamed", "wrong_path_renamed", "flushes",
-    "flushed_instructions", "stall_freelist", "stall_rob", "stall_rs",
-    "stall_lq", "stall_sq", "stall_empty",
-)
-
-#: SchemeStats counters reconstituted the same way.
-_SCALED_SCHEME_COUNTERS = (
-    "commit_frees", "flush_frees", "atr_frees", "nonspec_frees",
-    "atr_claims", "bulk_mark_events", "bulk_marked_ptags", "flush_walks",
-    "pending_squashed",
-)
-
 
 def _weighted_rate(per_window: List[float], simpoints: List[SimPoint],
                    total: int) -> int:
     """Scale a weighted per-instruction rate back to the full trace."""
     return round(weighted_mean(per_window, simpoints) * total)
+
+
+def _stitch(cls, window_stats: List, committed: List[int],
+            simpoints: List[SimPoint], represented: int):
+    """A *cls* stats object for the whole trace: every counter field but
+    ``cycles`` and ``committed`` is its windows' weighted
+    per-instruction rate scaled to *represented* instructions, and every
+    histogram is stitched the same way per bucket, dropping empty ones.
+    """
+    stitched = cls()
+    for f in fields(cls):
+        if f.name in ("cycles", "committed"):
+            continue
+        values = [getattr(s, f.name) for s in window_stats]
+        if isinstance(values[0], dict):
+            histogram = getattr(stitched, f.name)
+            for key in sorted({k for v in values for k in v}):
+                count = _weighted_rate(
+                    [v.get(key, 0) / n for v, n in zip(values, committed)],
+                    simpoints, represented)
+                if count:
+                    histogram[key] = count
+        else:
+            setattr(stitched, f.name, _weighted_rate(
+                [v / n for v, n in zip(values, committed)],
+                simpoints, represented))
+    return stitched
 
 
 def run_tiered(config: CoreConfig, trace: Trace, *, interval: int = 2_000,
@@ -91,32 +105,12 @@ def run_tiered(config: CoreConfig, trace: Trace, *, interval: int = 2_000,
     committed = [max(1, s.committed) for s in window_stats]
     ipc = weighted_mean(
         [s.committed / s.cycles for s in window_stats], simpoints)
-    stitched = SimStats(
-        cycles=max(1, round(represented / ipc)) if ipc else 0,
-        committed=represented,
-    )
-    for name in _SCALED_SIM_COUNTERS:
-        setattr(stitched, name, _weighted_rate(
-            [getattr(s, name) / n for s, n in zip(window_stats, committed)],
-            simpoints, represented))
-    for cls in sorted({k for s in window_stats for k in s.committed_by_class}):
-        stitched.committed_by_class[cls] = _weighted_rate(
-            [s.committed_by_class.get(cls, 0) / n
-             for s, n in zip(window_stats, committed)],
-            simpoints, represented)
-
-    scheme_stats = SchemeStats()
-    for name in _SCALED_SCHEME_COUNTERS:
-        setattr(scheme_stats, name, _weighted_rate(
-            [getattr(s, name) / n for s, n in zip(window_scheme, committed)],
-            simpoints, represented))
-    for bucket in sorted({k for s in window_scheme for k in s.claim_consumers}):
-        count = _weighted_rate(
-            [s.claim_consumers.get(bucket, 0) / n
-             for s, n in zip(window_scheme, committed)],
-            simpoints, represented)
-        if count:
-            scheme_stats.claim_consumers[bucket] = count
+    stitched = _stitch(SimStats, window_stats, committed, simpoints,
+                       represented)
+    stitched.cycles = max(1, round(represented / ipc)) if ipc else 0
+    stitched.committed = represented
+    scheme_stats = _stitch(SchemeStats, window_scheme, committed, simpoints,
+                           represented)
 
     tier_info = {
         "mode": "tiered",

@@ -2,7 +2,7 @@
 
 A campaign is a grid of :class:`~repro.validate.chaos.ChaosSpec` cells —
 benchmarks x schemes x rf-sizes x seeds — executed by the existing sweep
-scheduler (worker sharding, per-cell timeout, retry with backoff).  The
+scheduler (worker sharding, per-cell timeout, one diagnostic re-run).  The
 persistent store is bypassed: a validation run must actually run.
 
 ``run_campaign`` returns a :class:`CampaignReport` separating three

@@ -1,4 +1,4 @@
-"""Scheduler: sharding, failure isolation, per-cell timeout with retry.
+"""Scheduler: sharding, failure isolation, per-cell timeout, one re-run.
 
 Custom executors run in forked workers, so closures over tmp_path work;
 marker files let an executor behave differently on its second attempt.
@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.harness import CellSpec, run_specs
-from repro.harness.scheduler import _pick_executor, _retry_delay, _worker
+from repro.harness.scheduler import _worker
 
 SPECS = [CellSpec(name, 64, "atr", 100) for name in ("a", "b", "c")]
 
@@ -53,7 +53,7 @@ class TestFailureIsolation:
                 raise ValueError("injected")
             return spec.benchmark
 
-        results, failures = run_specs(SPECS, jobs=2, retries=0, executor=executor)
+        results, failures = run_specs(SPECS, jobs=2, executor=executor)
         assert {spec.benchmark for spec, _r in results} == {"a", "c"}
         assert len(failures) == 1
         assert failures[0].spec.benchmark == "b"
@@ -63,8 +63,7 @@ class TestFailureIsolation:
         def executor(spec):
             os._exit(3)
 
-        results, failures = run_specs(SPECS[:1], jobs=2, retries=0,
-                                      executor=executor)
+        results, failures = run_specs(SPECS[:1], jobs=2, executor=executor)
         assert not results
         assert len(failures) == 1
         assert "worker died" in failures[0].error
@@ -77,8 +76,7 @@ class TestFailureIsolation:
                 raise RuntimeError("transient")
             return "recovered"
 
-        results, failures = run_specs(SPECS[:1], jobs=2, retries=1,
-                                      executor=executor)
+        results, failures = run_specs(SPECS[:1], jobs=2, executor=executor)
         assert not failures
         assert results[0][1] == "recovered"
 
@@ -91,8 +89,7 @@ class TestFailureIsolation:
                 raise RuntimeError("symptom")
             raise ValueError("cause")
 
-        results, failures = run_specs(SPECS[:1], jobs=jobs, retries=1,
-                                      backoff=0, executor=executor)
+        results, failures = run_specs(SPECS[:1], jobs=jobs, executor=executor)
         assert not results
         assert failures[0].error == ("RuntimeError: symptom\n"
                                      "retry: ValueError: cause")
@@ -105,8 +102,7 @@ class TestFailureIsolation:
                 raise RuntimeError("transient")
             return "recovered"
 
-        results, failures = run_specs(SPECS[:1], jobs=1, retries=1,
-                                      executor=executor)
+        results, failures = run_specs(SPECS[:1], jobs=1, executor=executor)
         assert not failures
         assert results[0][1] == "recovered"
 
@@ -117,7 +113,7 @@ class TestInterruptPropagation:
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_specs(SPECS[:1], jobs=1, retries=1, executor=executor)
+            run_specs(SPECS[:1], jobs=1, executor=executor)
 
     def test_worker_does_not_swallow_keyboard_interrupt(self):
         """The worker body isolates cell *errors*; Ctrl-C must escape it
@@ -160,31 +156,29 @@ class TestInterruptPropagation:
 
 
 class TestRetryBackoffAndDiagnosis:
-    def test_retry_delay_doubles_per_attempt(self):
-        assert _retry_delay(0.25, 1) == 0.25
-        assert _retry_delay(0.25, 2) == 0.5
-        assert _retry_delay(0.25, 3) == 1.0
-        assert _retry_delay(0.0, 5) == 0.0
+    """A failed cell runs once more, straight away, under the diagnostic
+    executor; nothing spaces the two attempts."""
 
     def test_pick_executor_switches_on_retry(self):
+        """The first attempt runs the executor and the re-run the
+        diagnostic one; without a diagnostic executor, the executor runs
+        again."""
+        calls = []
+
         def plain(spec):
-            return "plain"
+            calls.append("plain")
+            raise RuntimeError("always fails")
 
         def diagnose(spec):
-            return "diagnose"
+            calls.append("diagnose")
+            raise RuntimeError("always fails")
 
-        assert _pick_executor(plain, diagnose, 1) is plain
-        assert _pick_executor(plain, diagnose, 2) is diagnose
-        assert _pick_executor(plain, None, 2) is plain
-
-    def test_serial_backoff_spaces_attempts(self):
-        def executor(spec):
-            raise RuntimeError("always")
-
-        started = time.monotonic()
-        _results, failures = run_specs(SPECS[:1], jobs=1, retries=1,
-                                       backoff=0.2, executor=executor)
-        assert time.monotonic() - started >= 0.2
+        run_specs(SPECS[:1], jobs=1, executor=plain,
+                  diagnostic_executor=diagnose)
+        assert calls == ["plain", "diagnose"]
+        calls.clear()
+        _results, failures = run_specs(SPECS[:1], jobs=1, executor=plain)
+        assert calls == ["plain", "plain"]
         assert failures[0].attempts == 2
 
     def test_failed_cell_reruns_under_diagnostic_executor(self):
@@ -195,8 +189,7 @@ class TestRetryBackoffAndDiagnosis:
             return "diagnosed"
 
         results, failures = run_specs(
-            SPECS[:1], jobs=1, retries=1, backoff=0.0,
-            executor=executor, diagnostic_executor=diagnose)
+            SPECS[:1], jobs=1, executor=executor, diagnostic_executor=diagnose)
         assert not failures
         assert results[0][1] == "diagnosed"
 
@@ -208,8 +201,7 @@ class TestRetryBackoffAndDiagnosis:
             return "diagnosed"
 
         results, failures = run_specs(
-            SPECS[:1], jobs=2, retries=1, backoff=0.0,
-            executor=executor, diagnostic_executor=diagnose)
+            SPECS[:1], jobs=2, executor=executor, diagnostic_executor=diagnose)
         assert not failures
         assert results[0][1] == "diagnosed"
 
@@ -225,7 +217,7 @@ class TestTimeout:
 
         started = time.monotonic()
         results, failures = run_specs(SPECS[:1], jobs=2, timeout=1.0,
-                                      retries=1, executor=executor)
+                                      executor=executor)
         assert time.monotonic() - started < 30  # terminated, not joined
         assert not failures
         assert results[0][1] == "after-retry"
@@ -235,7 +227,7 @@ class TestTimeout:
             time.sleep(60)
 
         results, failures = run_specs(SPECS[:1], jobs=2, timeout=0.5,
-                                      retries=1, executor=executor)
+                                      executor=executor)
         assert not results
         assert len(failures) == 1
         assert failures[0].attempts == 2

@@ -62,7 +62,7 @@ class TestSweep:
             raise RuntimeError("boom")
 
         report = sweep([CellSpec("a", 64, "atr", 100)], jobs=1, store=None,
-                       retries=0, executor=executor)
+                       executor=executor)
         with pytest.raises(SweepError, match="boom"):
             report.require_complete()
 

@@ -1,9 +1,9 @@
-"""Interrupt handling (paper section 4.1): drain vs. counter-gated flush.
+"""Interrupt handling (paper section 4.1): drain vs. precommit-boundary flush.
 
 The critical property of the flush policy: re-executing the squashed
 window after service must still produce the golden architectural state,
-even with ATR's early releases in flight — that is exactly what the
-open-atomic-region counter protects.
+even with ATR's early releases in flight — that is exactly what waiting
+while an ATR claim crosses the precommit boundary protects.
 """
 
 import dataclasses
@@ -12,8 +12,9 @@ import pytest
 
 from repro.frontend import final_state, run_program
 from repro.isa import assemble
-from repro.pipeline import Core, InterruptController, fast_test_config
+from repro.pipeline import Core, InterruptController, fast_test_config, golden_cove_config
 from repro.rename.schemes import SCHEME_NAMES
+from repro.workloads import build_trace
 
 from tests.conftest import ATOMIC_SRC, BRANCHY_SRC
 
@@ -75,15 +76,21 @@ def test_drain_policy_never_flushes():
     assert controller.stats.flushed_instructions == 0
 
 
-def test_open_region_counter_returns_to_zero():
-    core, controller, _ = _run_with_interrupts(
-        ATOMIC_SRC, "atr", "flush", at_cycles=[]
-    )
-    # After full commit, every opened region was closed by its redefiner
-    # or remains architecturally live; the counter equals the number of
-    # still-open (never redefined) eligible registers.
-    assert controller.open_region_counter == len(controller._counted)
-    assert controller.open_region_counter >= 0
+@pytest.mark.parametrize("scheme", ["atr", "combined"])
+def test_flush_policy_squashes_under_atr(scheme):
+    """Flush-policy interrupts squash the window past the precommit
+    pointer under the ATR schemes too: the controller waits only while a
+    claim crosses that boundary, not until no committed register is
+    claimable any more, which on mcf is never before the ROB drains."""
+    config = dataclasses.replace(
+        golden_cove_config(rf_size=64, scheme=scheme), check_invariants=True)
+    core = Core(config, build_trace("505.mcf_r", 3000))
+    controller = InterruptController(core, policy="flush", service_cycles=60)
+    for cycle in (6_000, 13_000, 20_000, 27_000):
+        controller.schedule(cycle)
+    core.run()
+    assert controller.stats.serviced == 4
+    assert controller.stats.flushed_instructions > 0
 
 
 def test_unknown_policy_rejected(loop_trace):

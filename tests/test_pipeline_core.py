@@ -203,7 +203,9 @@ class TestConfig:
 
     def test_freelist_reserve_rule(self):
         config = golden_cove_config()
-        assert config.freelist_reserve == config.max_dests_per_instr * config.rename_width
+        # MAX_DEST x rename width, with at most one destination per
+        # instruction.
+        assert config.freelist_reserve == config.rename_width
 
     def test_unknown_predictor_rejected(self, loop_trace):
         config = dataclasses.replace(fast_test_config(), predictor="psychic")

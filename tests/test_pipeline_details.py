@@ -61,15 +61,6 @@ class TestFrontendLimits:
         deep = dataclasses.replace(fast_test_config(), frontend_depth=12)
         assert Core(deep, loop_trace).run().cycles > Core(shallow, loop_trace).run().cycles
 
-    def test_icache_disabled_still_correct(self, loop_program):
-        from repro.frontend import final_state
-
-        trace = run_program(loop_program)
-        config = dataclasses.replace(fast_test_config(), model_icache=False)
-        core = Core(config, trace)
-        core.run()
-        assert core.architectural_state().int_regs == final_state(loop_program).int_regs
-
 
 class TestEventLog:
     """The log's probe handlers, called with the payloads the stages emit."""

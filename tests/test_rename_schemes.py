@@ -51,7 +51,7 @@ class Machine:
         self.seq += 1
         entry.src_ptags = self.unit.lookup_sources(instr)
         self.scheme.pre_rename(entry, self.cycle)
-        entry.dests = self.unit.allocate_dests(instr, self.cycle, entry.seq)
+        entry.dests = self.unit.allocate_dests(instr)
         self.scheme.post_rename(entry, self.cycle)
         return entry
 
@@ -81,7 +81,7 @@ class Machine:
         for entry in entries_young_to_old:
             entry.squashed = True
             for record in entry.dests:
-                self.unit.files[record.file].rat.write(record.slot, record.prev_ptag)
+                self.unit.files[record.file].srt[record.slot] = record.prev_ptag
         self.scheme.on_flush(entries_young_to_old, self.cycle)
 
     def int_free(self):

@@ -1,4 +1,4 @@
-"""Free list, RAT, checkpoint pool, PRT and rename-unit tests."""
+"""Free list, SRT, checkpoint pool, PRT and rename-unit tests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +11,7 @@ from repro.rename import (
     FreeListEmptyError,
     PhysRegEntry,
     PhysRegTable,
-    RegisterAliasTable,
+    RenameFile,
     RenameUnit,
 )
 
@@ -98,81 +98,63 @@ class TestFreeList:
 
 
 class TestRAT:
+    """Each file's SRT is a plain list indexed by SRT slot."""
+
     def test_initial_identity(self):
-        rat = RegisterAliasTable(4)
-        assert rat.live_ptags() == (0, 1, 2, 3)
+        assert RenameFile("int", 4, 8).srt == [0, 1, 2, 3]
 
     def test_write_returns_previous(self):
-        rat = RegisterAliasTable(4)
-        assert rat.write(2, 9) == 2
-        assert rat.read(2) == 9
+        unit = RenameUnit(int_size=24, vec_size=20)
+        srt = unit.files[RegClass.INT].srt
+        before = srt[ireg(2).srt_slot]
+        instr = Instruction(Opcode.ADD, dests=(ireg(2),), srcs=(ireg(3), ireg(4)))
+        (record,) = unit.allocate_dests(instr)
+        assert record.prev_ptag == before
+        assert srt[ireg(2).srt_slot] == record.new_ptag
 
-    def test_snapshot_restore(self):
-        rat = RegisterAliasTable(4)
-        rat.write(0, 8)
-        snap = rat.snapshot()
-        rat.write(0, 9)
-        rat.restore(snap)
-        assert rat.read(0) == 8
+    def test_restore_keeps_the_mapping_list(self, branchy_program):
+        """The rename unit reads the SRT lists directly, so the flush
+        walk must write into them rather than replace them."""
+        from repro.frontend import run_program
+        from repro.pipeline import Core, fast_test_config
 
-    def test_snapshot_isolated_from_mutation(self):
-        rat = RegisterAliasTable(2)
-        snap = rat.snapshot()
-        rat.write(0, 5)
-        assert snap == (0, 1)
-
-    def test_size_mismatch_rejected(self):
-        rat = RegisterAliasTable(2)
-        with pytest.raises(ValueError):
-            rat.restore((1, 2, 3))
-
-    def test_restore_keeps_the_mapping_list(self):
-        """The rename unit holds the mapping list itself, so a restore
-        must write into it rather than replace it."""
-        rat = RegisterAliasTable(4)
-        mapping = rat.mapping
-        snap = rat.snapshot()
-        rat.write(1, 7)
-        rat.restore(snap)
-        assert rat.mapping is mapping
-        assert mapping == [0, 1, 2, 3]
+        config = fast_test_config(predictor="always_taken")
+        core = Core(config, run_program(branchy_program))
+        unit = core.rename_unit
+        lists = {cls: file.srt for cls, file in unit.files.items()}
+        assert core.run().flushes > 0
+        for cls, file in unit.files.items():
+            assert file.srt is lists[cls] is unit._srt[cls]
 
 
 class TestCheckpointPool:
     def test_take_until_full(self):
         pool = CheckpointPool(capacity=2)
-        assert pool.take(1, ("a",))
-        assert pool.take(2, ("b",))
-        assert not pool.take(3, ("c",))
-        assert pool.overflowed == 1
+        assert pool.take(1)
+        assert pool.take(2)
+        assert not pool.take(3)
+        assert pool.taken == 2
+        assert pool.seqs == [1, 2]
 
     def test_exact_lookup(self):
         pool = CheckpointPool()
-        pool.take(5, ("x",))
+        pool.take(5)
         assert pool.has_exact(5)
         assert not pool.has_exact(6)
 
-    def test_nearest_older(self):
-        pool = CheckpointPool()
-        pool.take(2, ("a",))
-        pool.take(6, ("b",))
-        assert pool.nearest_older(7) == (6, ("b",))
-        assert pool.nearest_older(5) == (2, ("a",))
-        assert pool.nearest_older(1) is None
-
     def test_release_older_equal(self):
         pool = CheckpointPool()
-        pool.take(2, ("a",))
-        pool.take(6, ("b",))
-        assert pool.release_older_equal(2) == 1
+        pool.take(2)
+        pool.take(6)
+        pool.release_older_equal(2)
         assert not pool.has_exact(2)
         assert pool.has_exact(6)
 
     def test_squash_younger(self):
         pool = CheckpointPool()
-        pool.take(2, ("a",))
-        pool.take(6, ("b",))
-        assert pool.squash_younger(2) == 1
+        pool.take(2)
+        pool.take(6)
+        pool.squash_younger(2)
         assert pool.has_exact(2)
         assert not pool.has_exact(6)
 
@@ -180,7 +162,7 @@ class TestCheckpointPool:
 class TestPhysRegTable:
     def test_counter_tracks_consumers(self):
         prt = PhysRegTable(8)
-        prt.on_allocate(3, cycle=0, seq=0)
+        prt.on_allocate(3)
         prt.add_consumer(3)
         prt.add_consumer(3)
         assert prt.consumers(3) == 2
@@ -189,7 +171,7 @@ class TestPhysRegTable:
 
     def test_counter_saturates_sticky(self):
         prt = PhysRegTable(8, counter_bits=3)
-        prt.on_allocate(0, 0, 0)
+        prt.on_allocate(0)
         for _ in range(10):
             prt.add_consumer(0)
         assert prt.consumers(0) == prt.overflow
@@ -200,7 +182,7 @@ class TestPhysRegTable:
 
     def test_three_bit_counter_tracks_six(self):
         prt = PhysRegTable(8, counter_bits=3)
-        prt.on_allocate(0, 0, 0)
+        prt.on_allocate(0)
         for _ in range(6):
             prt.add_consumer(0)
         assert prt.consumers(0) == 6
@@ -208,7 +190,7 @@ class TestPhysRegTable:
 
     def test_ner_separate_from_count(self):
         prt = PhysRegTable(8)
-        prt.on_allocate(0, 0, 0)
+        prt.on_allocate(0)
         prt.add_consumer(0)
         prt.mark_ner(0)
         assert prt.is_no_early_release(0)
@@ -217,18 +199,18 @@ class TestPhysRegTable:
     def test_bulk_marking(self):
         prt = PhysRegTable(8)
         for p in range(4):
-            prt.on_allocate(p, 0, 0)
+            prt.on_allocate(p)
         assert prt.bulk_no_early_release([0, 1, 2]) == 3
         assert prt.bulk_no_early_release([0, 1, 2]) == 0  # idempotent
         assert not prt.is_no_early_release(3)
 
     def test_allocation_resets_state(self):
         prt = PhysRegTable(8)
-        prt.on_allocate(0, 0, 0)
+        prt.on_allocate(0)
         prt.add_consumer(0)
         prt.mark_ner(0)
         prt.mark_redefined(0, 5)
-        prt.on_allocate(0, 10, 1)
+        prt.on_allocate(0)
         assert prt.consumers(0) == 0
         assert not prt.is_no_early_release(0)
         assert not prt.is_redefined(0)
@@ -236,14 +218,14 @@ class TestPhysRegTable:
 
     def test_epoch_bumps_per_allocation(self):
         prt = PhysRegTable(8)
-        prt.on_allocate(0, 0, 0)
+        prt.on_allocate(0)
         e1 = prt.epoch(0)
-        prt.on_allocate(0, 1, 1)
+        prt.on_allocate(0)
         assert prt.epoch(0) == e1 + 1
 
     def test_redefined_visibility_delay(self):
         prt = PhysRegTable(8)
-        prt.on_allocate(0, 0, 0)
+        prt.on_allocate(0)
         prt.mark_redefined(0, visible_cycle=10)
         assert prt.is_redefined(0)
         assert not prt.redefined_visible(0, 9)
@@ -251,7 +233,7 @@ class TestPhysRegTable:
 
     def test_written_gate(self):
         prt = PhysRegTable(8)
-        prt.on_allocate(0, 0, 0)
+        prt.on_allocate(0)
         assert not prt.is_written(0)
         prt.mark_written(0)
         assert prt.is_written(0)
@@ -262,7 +244,7 @@ class TestPhysRegTable:
 
     def test_undo_consumer_skips_overflow_and_zero(self):
         prt = PhysRegTable(8, counter_bits=2)
-        prt.on_allocate(0, 0, 0)
+        prt.on_allocate(0)
         prt.undo_consumer(0)  # at zero: no-op
         assert prt.consumers(0) == 0
         for _ in range(5):
@@ -290,8 +272,8 @@ class TestRenameUnit:
             prt.mark_redefined(ptag, 3)
             prt.entries[ptag].early_released = True
         instr = Instruction(Opcode.ADD, dests=(ireg(1),), srcs=(ireg(2), ireg(3)))
-        (record,) = unit.allocate_dests(instr, cycle=40, seq=9)
-        reference.on_allocate(ptag, 40, 9)
+        (record,) = unit.allocate_dests(instr)
+        reference.on_allocate(ptag)
         assert record.new_ptag == ptag
         assert record.new_epoch == reference.epoch(ptag)
         entry, expected = file.prt.entries[ptag], reference.entries[ptag]

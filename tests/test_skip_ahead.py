@@ -36,7 +36,6 @@ def _fingerprint(core, stats):
     return (
         stats.to_dict(),
         core.scheme.stats.to_dict(),
-        core.state.rename_unit.stall_cycles,
         core.architectural_state(),
     )
 

@@ -24,7 +24,7 @@ from repro.harness import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.pipeline import Core, fast_test_config
+from repro.pipeline import Core, fast_test_config, golden_cove_config
 from repro.pipeline.warmup import fast_forward
 from repro.tiered import run_tiered
 from repro.workloads import ALL_BENCHMARKS, build_trace, workload_for
@@ -204,6 +204,22 @@ def test_tiered_stitching_scales_to_full_trace():
         stats.committed, rel=0.05)
     # The scheme's accounting scales with it (atr frees registers early).
     assert scheme_stats.atr_frees > 0
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "atr", "combined"])
+@pytest.mark.parametrize("kernel", ["505.mcf_r", "503.bwaves_r",
+                                    "525.x264_r"])
+def test_one_window_tiered_run_is_the_detailed_run(kernel, scheme):
+    """A tiered run whose one window covers the whole trace stitches
+    every SimStats and SchemeStats field to the detailed run's value,
+    so a counter added to either dataclass cannot stitch as zero."""
+    trace = build_trace(kernel, 3000)
+    config = golden_cove_config(rf_size=64, scheme=scheme)
+    stats, scheme_stats, _ = run_tiered(config, trace, interval=len(trace),
+                                        max_windows=1)
+    core = Core(config, trace)
+    assert stats == core.run()
+    assert scheme_stats == core.scheme.stats
 
 
 def test_tiered_ipc_tracks_detailed_reference():

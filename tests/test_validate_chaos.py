@@ -10,6 +10,7 @@ import pytest
 from repro.harness import decode_cell_result, encode_cell_result
 from repro.isa import Opcode
 from repro.isa.semantics import MASK64
+from repro.pipeline import InterruptController
 from repro.rename.schemes import SCHEME_NAMES
 from repro.validate import (
     ChaosSpec,
@@ -18,6 +19,7 @@ from repro.validate import (
     run_campaign,
     run_chaos_cell,
 )
+from repro.validate import chaos
 
 
 class TestChaosCells:
@@ -45,6 +47,26 @@ class TestChaosCells:
         assert all(r.error is None for r in results)
         # Seeds draw different configurations/faults, so cycle counts vary.
         assert len({r.stats.cycles for r in results}) > 1
+
+    def test_flush_interrupts_squash_under_atr(self, monkeypatch):
+        """This cell's flush-policy interrupts squash instructions past
+        the precommit pointer while ATR claims are in flight, and stay
+        clean; flushing without waiting for crossing claims to precommit
+        trips ATR's flush walk here."""
+        controllers = []
+
+        class Recording(InterruptController):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                controllers.append(self)
+
+        monkeypatch.setattr(chaos, "InterruptController", Recording)
+        result = run_chaos_cell(ChaosSpec("508.namd_r", "atr", 40, 3000,
+                                          seed=2, intensity="high"))
+        assert result.error is None, result.error
+        (controller,) = controllers
+        assert controller.policy == "flush"
+        assert controller.stats.flushed_instructions > 0
 
     def test_unknown_intensity_rejected(self):
         spec = ChaosSpec(benchmark="mcf", scheme="atr", rf_size=28,
