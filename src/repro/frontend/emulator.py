@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..isa import (
     FLAGS,
@@ -49,7 +49,7 @@ def canonical_memory(memory: Dict[int, int]) -> Dict[int, int]:
     return {addr: value for addr, value in memory.items() if value != 0}
 
 
-def memory_image(data: Dict[int, int], written: Dict[int, int],
+def memory_image(data: Mapping[int, int], written: Dict[int, int],
                  words: Optional[Iterable[int]] = None) -> Dict[int, int]:
     """The memory image: the program's *data* image overlaid by the
     *written* words, in full or only at the addresses in *words*.  Built
@@ -57,7 +57,7 @@ def memory_image(data: Dict[int, int], written: Dict[int, int],
     if words is not None:
         return {addr: written[addr] if addr in written else data.get(addr, 0)
                 for addr in words}
-    image = dict(data)
+    image = dict(data.items())
     image.update(written)
     return image
 
@@ -223,7 +223,7 @@ class Emulator:
         size = len(decoded)
         regs = self.regs
         written = self.written
-        data = self.program.data
+        data_word = self.program.data.get
         pc = self.pc
         seq = self.executed
         end = seq + limit
@@ -247,7 +247,7 @@ class Emulator:
                     mem_addr = (reads(regs)[0] + instr.imm) & MASK64
                     result = written.get(mem_addr)
                     if result is None:
-                        result = data.get(mem_addr, 0)
+                        result = data_word(mem_addr, 0)
                     regs[dest] = result
                 elif kind == _STORE:
                     result, base = reads(regs)
@@ -262,7 +262,7 @@ class Emulator:
                     for offset in _LANE_OFFSETS:
                         addr = (mem_addr + offset) & MASK64
                         value = written.get(addr)
-                        lanes.append(data.get(addr, 0) if value is None else value)
+                        lanes.append(data_word(addr, 0) if value is None else value)
                     result = regs[dest] = tuple(lanes)
                 elif kind == _VSTORE:
                     result, base = reads(regs)

@@ -25,7 +25,13 @@ from .opcodes import (
     may_except,
     op_class,
 )
-from .program import LINK_REG, Program, ProgramBuilder, ProgramValidationError
+from .program import (
+    LINK_REG,
+    DataImage,
+    Program,
+    ProgramBuilder,
+    ProgramValidationError,
+)
 from .registers import (
     FLAGS,
     INT_SRT_SLOTS,
@@ -50,6 +56,6 @@ __all__ = [
     "may_except", "breaks_region_control", "breaks_atomic_region",
     "MNEMONICS",
     "Instruction", "validate_instruction", "I_BYTES",
-    "Program", "ProgramBuilder", "ProgramValidationError", "LINK_REG",
+    "DataImage", "Program", "ProgramBuilder", "ProgramValidationError", "LINK_REG",
     "assemble", "disassemble", "AssemblyError",
 ]

@@ -1,9 +1,9 @@
 """Programs and the fluent builder API used by the workload kernels.
 
 A :class:`Program` is an immutable sequence of static instructions plus a
-label table and an initial data image.  :class:`ProgramBuilder` offers one
-method per opcode with forward-label support, so kernels read close to
-assembly::
+label table and an initial data image (:class:`DataImage`).
+:class:`ProgramBuilder` offers one method per opcode with forward-label
+support, so kernels read close to assembly::
 
     b = ProgramBuilder()
     b.movi(r(0), 0)
@@ -14,9 +14,11 @@ assembly::
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
-from itertools import count
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .instruction import Instruction, validate_instruction
 from .opcodes import Opcode
@@ -36,13 +38,91 @@ class ProgramValidationError(ValueError):
     """
 
 
+#: One dense run of data words: ``(base, end, stride, values)``, word
+#: ``i`` at ``base + stride * i`` and ``end = base + stride * len(values)``.
+Block = Tuple[int, int, int, array]
+
+
+class DataImage(Mapping):
+    """A program's initial data image, read-only: address -> 64-bit word.
+
+    Each :meth:`ProgramBuilder.words` run is one dense block (an
+    ``array('Q')``); :meth:`ProgramBuilder.word` fills a small dict of
+    single words, which shadow the blocks.  No two blocks share a word.
+    :meth:`get` indexes the block that holds the address, so a load never
+    expands the image; iterating, ``len`` and ``==`` walk the blocks word
+    by word and are for comparisons only.
+    """
+
+    __slots__ = ("blocks", "_words")
+
+    def __init__(self, blocks: Iterable[Block] = (),
+                 words: Optional[Dict[int, int]] = None):
+        self.blocks: Tuple[Block, ...] = tuple(blocks)
+        self._words: Dict[int, int] = dict(words or {})
+
+    def get(self, addr: int, default=None):
+        value = self._words.get(addr)
+        if value is not None:
+            return value
+        for base, end, stride, values in self.blocks:
+            if base <= addr < end:
+                offset = addr - base
+                if not offset % stride:
+                    return values[offset // stride]
+        return default
+
+    def __getitem__(self, addr: int) -> int:
+        value = self.get(addr)
+        if value is None:
+            raise KeyError(addr)
+        return value
+
+    def _pairs(self) -> Iterator[Tuple[int, int]]:
+        words = self._words
+        yield from words.items()
+        for base, end, stride, values in self.blocks:
+            pairs = zip(range(base, end, stride), values)
+            if words:
+                pairs = ((addr, value) for addr, value in pairs
+                         if addr not in words)
+            yield from pairs
+
+    def __iter__(self) -> Iterator[int]:
+        return (addr for addr, _value in self._pairs())
+
+    def __len__(self) -> int:
+        return sum(1 for _pair in self._pairs())
+
+    def items(self) -> ItemsView:
+        return _PairsView(self)
+
+    def values(self) -> ValuesView:
+        return _ValuesView(self)
+
+    def __repr__(self) -> str:
+        return (f"DataImage({len(self.blocks)} blocks, "
+                f"{len(self._words)} single words)")
+
+
+class _PairsView(ItemsView):
+    def __iter__(self):
+        return self._mapping._pairs()
+
+
+class _ValuesView(ValuesView):
+    def __iter__(self):
+        for _addr, value in self._mapping._pairs():
+            yield value
+
+
 @dataclass(frozen=True)
 class Program:
     """An immutable program: code, labels, and an initial memory image."""
 
     instructions: Tuple[Instruction, ...]
     labels: Dict[str, int] = field(default_factory=dict)
-    data: Dict[int, int] = field(default_factory=dict)
+    data: DataImage = field(default_factory=DataImage)
     name: str = "program"
 
     def __len__(self) -> int:
@@ -97,7 +177,8 @@ class ProgramBuilder:
         self._instructions: List[Instruction] = []
         self._labels: Dict[str, int] = {}
         self._pending_label: Optional[str] = None
-        self._data: Dict[int, int] = {}
+        self._blocks: List[Block] = []
+        self._words: Dict[int, int] = {}
 
     # -- structure ----------------------------------------------------------
     @property
@@ -122,19 +203,52 @@ class ProgramBuilder:
         """
         if addr >> 64 or value >> 64:  # nonzero for negatives as well
             raise ValueError(f"data word {value:#x} at {addr:#x} outside 0..2**64-1")
-        self._data[addr] = value
+        self._words[addr] = value
 
-    def words(self, addr: int, values: Sequence[int], stride: int = 8) -> None:
-        """Place consecutive words starting at *addr* (range-checked as
-        :meth:`word` does, once per call)."""
-        if values:
-            last = addr + stride * (len(values) - 1)
-            low, high = min(values), max(values)
-            if addr >> 64 or last >> 64 or low >> 64 or high >> 64:
-                raise ValueError(
-                    f"data words {low:#x}..{high:#x} at {addr:#x}..{last:#x} "
-                    f"outside 0..2**64-1")
-        self._data.update(zip(count(addr, stride), values))
+    def words(self, addr: int, values: Iterable[int], stride: int = 8) -> None:
+        """Place words at *addr*, *addr* + *stride*, ... as one dense block.
+
+        *values* may be any iterable of ints, or an ``array('Q')``, whose
+        words need no range check.  Raises ValueError, as :meth:`word`
+        does, if an address or a value lies outside ``0..2**64-1``.  Words
+        placed earlier at the same addresses are overwritten.
+        """
+        if stride < 1:
+            raise ValueError(f"data word stride {stride} must be positive")
+        try:
+            block = array("Q", values)
+        except OverflowError:
+            raise ValueError(f"a data word in the run at {addr:#x} lies "
+                             f"outside 0..2**64-1") from None
+        if not block:
+            return
+        last = addr + stride * (len(block) - 1)
+        if addr >> 64 or last >> 64:
+            raise ValueError(f"data words at {addr:#x}..{last:#x} lie "
+                             f"outside 0..2**64-1")
+        end = last + stride
+
+        def covered(word: int) -> bool:
+            return addr <= word < end and not (word - addr) % stride
+
+        if any(covered(word) for word in self._words):
+            self._words = {word: value for word, value in self._words.items()
+                           if not covered(word)}
+        kept = []
+        for old in self._blocks:
+            base, old_end, old_stride, old_values = old
+            if (base < end and addr < old_end
+                    and not (addr - base) % gcd(stride, old_stride)):
+                # The runs may share words: keep the old run's other
+                # words as single words (earlier single words still win).
+                for word, value in zip(range(base, old_end, old_stride),
+                                       old_values):
+                    if not covered(word):
+                        self._words.setdefault(word, value)
+            else:
+                kept.append(old)
+        kept.append((addr, end, stride, block))
+        self._blocks = kept
 
     def _emit(self, opcode: Opcode, dests=(), srcs=(), imm=0, target=None) -> int:
         instr = Instruction(
@@ -335,6 +449,6 @@ class ProgramBuilder:
         return Program(
             instructions=tuple(resolved),
             labels=dict(self._labels),
-            data=dict(self._data),
+            data=DataImage(self._blocks, self._words),
             name=self.name,
         )

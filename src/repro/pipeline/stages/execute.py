@@ -57,7 +57,7 @@ class ExecuteUnit:
         self.stores = state.stores
         self.store_words = state.store_words
         self.mem_values = state.mem_values
-        self.data = state.trace.program.data
+        self.data_word = state.trace.program.data.get
 
     def dispatch(self, entry: ROBEntry, cycle: int) -> int:
         """Perform the execution side effects; returns the latency.
@@ -118,7 +118,7 @@ class ExecuteUnit:
                 if value is None:
                     value = self.mem_values.get(word_addr)
                 if value is None:
-                    value = self.data.get(word_addr, 0)
+                    value = self.data_word(word_addr, 0)
                 lanes.append(value)
             self.results[entry.seq] = tuple(lanes) if is_vector else lanes[0]
         if not is_vector and len(forwarded) == word_count:

@@ -79,7 +79,6 @@ class PhysRegTable:
         self.counter_bits = counter_bits
         self.overflow = (1 << counter_bits) - 1
         self.entries: List[PhysRegEntry] = [PhysRegEntry() for _ in range(capacity)]
-        self.saturation_events = 0
 
     def on_allocate(self, ptag: int) -> None:
         """Reset metadata when *ptag* is handed out by the free list.
@@ -102,8 +101,6 @@ class PhysRegTable:
         e = self.entries[ptag]
         e.lifetime_consumers += 1
         if e.consumer_count >= self.overflow - 1:
-            if e.consumer_count == self.overflow - 1:
-                self.saturation_events += 1
             e.consumer_count = self.overflow
         else:
             e.consumer_count += 1

@@ -16,9 +16,7 @@ for its embedded data, so traces are deterministic but non-trivial.
 from __future__ import annotations
 
 import random
-from typing import List
-
-import numpy as np
+from array import array
 
 from ..isa import LINK_REG, Program, ProgramBuilder, ireg
 
@@ -29,9 +27,10 @@ _STACK = 0x800000
 
 
 def _lcg_words(seed: int, count: int, bound: int = 1 << 30,
-               start: int = 0) -> List[int]:
+               start: int = 0) -> array:
     """``[rng.randrange(start, bound) for _ in range(count)]`` with
-    ``rng = random.Random(seed)``, drawn in bulk.
+    ``rng = random.Random(seed)``, drawn in bulk, as an ``array('Q')``
+    block for :meth:`ProgramBuilder.words`.
 
     ``randrange`` draws one Mersenne Twister word per try, keeps its top
     ``(bound - start).bit_length()`` bits and retries while the value is
@@ -40,6 +39,8 @@ def _lcg_words(seed: int, count: int, bound: int = 1 << 30,
     same values.  The generator is private, so drawing past the last
     accepted word changes nothing.
     """
+    import numpy as np
+
     width = bound - start
     bits = width.bit_length()
     if width < 1 or bits > 32:
@@ -55,9 +56,14 @@ def _lcg_words(seed: int, count: int, bound: int = 1 << 30,
             rng.getrandbits(32 * draw).to_bytes(4 * draw, "little"),
             dtype="<u4") >> (32 - bits)
         accepted = words[words < width][:need]
-        kept.append(accepted.astype(np.int64) + start)
+        kept.append(accepted)
         need -= len(accepted)
-    return np.concatenate(kept).tolist() if kept else []
+    block = array("Q")
+    if kept:
+        values = np.concatenate(kept).astype(np.uint64)
+        values += start
+        block.frombytes(values.view(np.uint8))
+    return block
 
 
 def perlbench(iterations: int = 64, seed: int = 1) -> Program:
@@ -141,21 +147,21 @@ def gcc(iterations: int = 48, seed: int = 2) -> Program:
     b.add(r(5), r(5), r(9))
     b.ld(r(5), r(5), 0)              # target pc from the jump table
     b.jr(r(5))
-    b.label("case0")
+    jump_table = [b.label("case0")]
     b.add(r(7), r(6), r(4))          # temps reused across cases
     b.shl(r(7), r(7), 1)
     b.add(r(6), r(7), r(4))
     b.jmp("join")
-    b.label("case1")
+    jump_table.append(b.label("case1"))
     b.xor(r(7), r(6), r(3))
     b.or_(r(7), r(7), r(4))
     b.add(r(6), r(6), r(7))
     b.jmp("join")
-    b.label("case2")
+    jump_table.append(b.label("case2"))
     b.shl(r(7), r(6), 1)
     b.add(r(6), r(7), r(4))
     b.jmp("join")
-    b.label("case3")
+    jump_table.append(b.label("case3"))
     b.sub(r(6), r(6), r(4))
     b.label("join")
     b.lea(r(2), r(2), 8)
@@ -168,10 +174,8 @@ def gcc(iterations: int = 48, seed: int = 2) -> Program:
     b.test(r(1), r(1))
     b.bne("loop")
     b.halt()
-    program = b.build()
-    for i in range(cases):
-        program.data[table_base + 8 * i] = program.labels[f"case{i}"]
-    return program
+    b.words(table_base, jump_table)
+    return b.build()
 
 
 def mcf(iterations: int = 96, seed: int = 3) -> Program:
@@ -185,9 +189,10 @@ def mcf(iterations: int = 96, seed: int = 3) -> Program:
     rng = random.Random(seed)
     order = list(range(1, nodes)) + [0]
     rng.shuffle(order)
-    for i in range(nodes):
-        b.word(_HEAP + 64 * i, _HEAP + 64 * order[i])
-        b.word(_HEAP + 64 * i + 8, rng.randrange(1 << 20))
+    # node i: next pointer at +0, cost at +8
+    b.words(_HEAP, [_HEAP + 64 * node for node in order], stride=64)
+    b.words(_HEAP + 8, [rng.randrange(1 << 20) for _ in range(nodes)],
+            stride=64)
     b.movi(r(1), iterations)
     b.movi(r(4), 1)
     b.movi(r(6), 1 << 21)            # best cost
@@ -463,8 +468,7 @@ def xz(iterations: int = 32, seed: int = 9) -> Program:
     b = ProgramBuilder("557.xz_r")
     r = ireg
     data = 131072                    # 1 MiB
-    rng = random.Random(seed)
-    b.words(_HEAP, [rng.randrange(4) for _ in range(data)])
+    b.words(_HEAP, _lcg_words(seed, data, bound=4))
     b.movi(r(1), iterations)
     b.movi(r(4), 1)
     b.movi(r(10), 0)                 # total match length
@@ -510,10 +514,10 @@ def xalancbmk(iterations: int = 40, seed: int = 10) -> Program:
     r = ireg
     nodes = 16384                    # 16384 x 64 B = 1 MiB
     rng = random.Random(seed)
-    for i in range(nodes):
-        child = _HEAP + 64 * rng.randrange(nodes)
-        b.word(_HEAP + 64 * i, child)
-        b.word(_HEAP + 64 * i + 8, rng.randrange(3))
+    # node i: child pointer at +0, tag at +8, drawn per node in that order
+    draws = [rng.randrange(bound) for _ in range(nodes) for bound in (nodes, 3)]
+    b.words(_HEAP, [_HEAP + 64 * child for child in draws[0::2]], stride=64)
+    b.words(_HEAP + 8, draws[1::2], stride=64)
     b.movi(r(1), iterations)
     b.movi(r(4), 1)
     b.movi(r(8), 0)                  # matches

@@ -17,11 +17,12 @@ the way the paper aggregates its simpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..frontend import Trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -41,6 +42,8 @@ def basic_block_vectors(trace: Trace, interval: int = 2_000) -> Tuple[np.ndarray
     A basic-block leader is the target of any control transfer or the
     entry PC; block execution is attributed to its leader.
     """
+    import numpy as np
+
     leaders = {0}
     for entry in trace.entries:
         instr = entry.instr
@@ -75,6 +78,8 @@ def basic_block_vectors(trace: Trace, interval: int = 2_000) -> Tuple[np.ndarray
 
 def kmeans(data: np.ndarray, k: int, iterations: int = 50, seed: int = 0) -> np.ndarray:
     """Plain k-means; returns the cluster assignment per row."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = data.shape[0]
     k = min(k, n)
@@ -96,6 +101,8 @@ def kmeans(data: np.ndarray, k: int, iterations: int = 50, seed: int = 0) -> np.
 def pick_simpoints(trace: Trace, interval: int = 2_000, max_k: int = 6,
                    seed: int = 0) -> List[SimPoint]:
     """The full SimPoint pipeline for *trace*."""
+    import numpy as np
+
     bbvs, _ = basic_block_vectors(trace, interval=interval)
     n = bbvs.shape[0]
     k = max(1, min(max_k, n))

@@ -1,6 +1,10 @@
 """Unit tests for Program / ProgramBuilder."""
 
+from itertools import count
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.isa import LINK_REG, Opcode, Program, ProgramBuilder, ireg, vreg
 
@@ -107,6 +111,63 @@ class TestBuilder:
         with pytest.raises(ValueError, match="outside 0..2"):
             b.words(addr, values)
         assert b.build().data == {}
+
+    def test_words_stride_must_be_positive(self):
+        with pytest.raises(ValueError, match="stride"):
+            ProgramBuilder().words(0x100, [1], stride=0)
+
+    #: A run of ``word`` and ``words`` calls over a small address window,
+    #: so that runs overlap, interleave and shadow single words.
+    _DATA_OPS = st.lists(st.one_of(
+        st.tuples(st.just("word"), st.integers(0, 96).map(lambda i: 4 * i),
+                  st.integers(0, (1 << 64) - 1)),
+        st.tuples(st.just("words"), st.integers(0, 96).map(lambda i: 4 * i),
+                  st.lists(st.integers(0, (1 << 64) - 1), max_size=12),
+                  st.sampled_from([4, 8, 12, 16, 64]))), max_size=8)
+
+    @given(ops=_DATA_OPS)
+    def test_data_image_equals_the_dict_of_its_writes(self, ops):
+        """Later writes win, whether a word, a run or a run's single word
+        overlaps an earlier one; ``get``, ``in``, iteration and ``len``
+        agree with a dict that took the same writes in order."""
+        b = ProgramBuilder()
+        expected = {}
+        for op in ops:
+            if op[0] == "word":
+                _, addr, value = op
+                b.word(addr, value)
+                expected[addr] = value
+            else:
+                _, addr, values, stride = op
+                b.words(addr, values, stride=stride)
+                expected.update(zip(count(addr, stride), values))
+        image = b.build().data
+        assert image == expected
+        assert len(image) == len(expected)
+        assert sorted(image) == sorted(expected)
+        assert sorted(image.values()) == sorted(expected.values())
+        for addr in range(0, 4 * 110, 2):
+            assert image.get(addr, -1) == expected.get(addr, -1)
+            assert (addr in image) == (addr in expected)
+
+    def test_runs_become_blocks_and_later_writes_do_not_reach_a_built_image(self):
+        b = ProgramBuilder()
+        b.words(0x1000, range(4), stride=64)
+        b.words(0x1008, range(10, 14), stride=64)   # interleaved, no overlap
+        b.word(0x2000, 5)
+        first = b.build()
+        b.word(0x1000, 99)
+        b.words(0x1008, [7])
+        assert len(first.data.blocks) == 2
+        assert first.data[0x1000] == 0 and first.data[0x1008] == 10
+        assert first.data[0x10c8] == 13 and 0x1010 not in first.data
+        assert dict(first.data.items()) == {
+            **dict(zip(range(0x1000, 0x1100, 64), range(4))),
+            **dict(zip(range(0x1008, 0x1108, 64), range(10, 14))),
+            0x2000: 5}
+        second = b.build().data
+        assert second[0x1000] == 99 and second[0x1008] == 7
+        assert second[0x1048] == 11
 
     def test_label_attaches_to_next_instruction(self):
         b = ProgramBuilder()

@@ -178,7 +178,6 @@ class TestPhysRegTable:
         assert not prt.remove_consumer(0)  # sticky, never reaches zero
         assert prt.consumers(0) == prt.overflow
         assert prt.is_no_early_release(0)
-        assert prt.saturation_events == 1
 
     def test_three_bit_counter_tracks_six(self):
         prt = PhysRegTable(8, counter_bits=3)

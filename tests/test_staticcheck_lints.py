@@ -148,10 +148,8 @@ class TestMemoryRules:
         b.vst(v(1), r(1), 0)     # pc 3: [0x40, 0x60)
         b.ld(r(3), r(1), 28)     # pc 4: [0x5c, 0x64) — straddles the end
         b.halt()
-        program = b.build()
-        for lane in range(4):
-            program.data[0x100 + 8 * lane] = lane  # feed the vld
-        report = lint_program(program)
+        b.words(0x100, range(4))  # feed the vld
+        report = lint_program(b.build())
         findings = report.by_rule("mem-overlap-partial")
         assert [f.pc for f in findings] == [4]
         assert "neither covers the other" in findings[0].message
@@ -171,10 +169,8 @@ class TestMemoryRules:
         b.ld(r(8), r(6), 0)      # pc 8: may alias the store
         b.movi(r(7), 2)          # window closes
         b.halt()
-        program = b.build()
-        program.data[0x40] = 0x2000
-        program.data[0x48] = 3
-        report = lint_program(program)
+        b.words(0x40, [0x2000, 3])
+        report = lint_program(b.build())
         findings = report.by_rule("mem-aliased-in-region")
         assert [f.pc for f in findings] == [8]
         assert "same loaded pointer" in findings[0].message
@@ -226,10 +222,8 @@ class TestDataflowEdgeCases:
         b.vld(v(1), r(1), 0)
         b.vst(v(1), r(1), 64)
         b.halt()
-        program = b.build()
-        for lane in range(4):
-            program.data[0x100 + 8 * lane] = lane
-        report = lint_program(program)
+        b.words(0x100, range(4))
+        report = lint_program(b.build())
         assert [f.pc for f in report.by_rule("df-dead-store")] == [1]
 
     def test_vec_never_written_is_live_at_exit(self):
@@ -239,10 +233,8 @@ class TestDataflowEdgeCases:
         b.movi(r(1), 0x100)
         b.vld(v(1), r(1), 0)
         b.halt()
-        program = b.build()
-        for lane in range(4):
-            program.data[0x100 + 8 * lane] = lane
-        assert lint_program(program).ok
+        b.words(0x100, range(4))
+        assert lint_program(b.build()).ok
 
 
 class TestSuppression:

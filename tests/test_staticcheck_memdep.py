@@ -262,9 +262,8 @@ class TestLintBackends:
         b.movi(r(1), 0x1000)
         b.ld(r(2), r(1), 0)
         b.halt()
-        program = b.build()
-        program.data[0x1000] = 7
-        m = analyze_memdep(program)
+        b.word(0x1000, 7)
+        m = analyze_memdep(b.build())
         assert m.undefined_loads() == []
 
     def test_dead_store(self):

@@ -9,7 +9,6 @@ warmup primed the core wrongly, one of the two comparisons exposes it.
 """
 
 import json
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +23,7 @@ from repro.harness import (
     spec_from_dict,
     spec_to_dict,
 )
+from repro.isa import DataImage
 from repro.pipeline import Core, fast_test_config, golden_cove_config
 from repro.pipeline.warmup import fast_forward
 from repro.tiered import run_tiered
@@ -122,48 +122,44 @@ def test_warm_cores_adopt_the_fast_forward_state(monkeypatch):
     assert built == {"tage": 1, "memory": 1}
 
 
-def _allocated(fn, *args):
-    """``fn(*args)`` and the peak bytes it allocated (tracemalloc)."""
-    baseline = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    value = fn(*args)
-    return value, tracemalloc.get_traced_memory()[1] - baseline
-
-
 @pytest.mark.parametrize("kernel", ["503.bwaves_r", "520.omnetpp_r"])
-def test_no_emulator_core_or_checkpoint_copies_the_data_image(kernel):
-    """bwaves' data image is half a million words, omnetpp's a quarter
-    million.  Fast-forwarding to six stops and building a cold core must
-    each allocate less than one copy of it, and emulating,
-    fast-forwarding and running cores must leave the shared image exactly
-    as the builder made it (bwaves stores vectors, omnetpp scalars)."""
+def test_no_emulator_core_or_checkpoint_copies_the_data_image(kernel,
+                                                              monkeypatch):
+    """bwaves' data image is two 2 MiB blocks, omnetpp's one.  The
+    emulator, six fast-forward checkpoints and every core share the
+    builder's blocks by identity and never walk the image word by word,
+    and emulating, fast-forwarding and running cores leave the blocks as
+    the builder made them (bwaves stores vectors, omnetpp scalars)."""
     n = 12_000
     entry, variant = workload_for(kernel)
     program = entry.build(n, variant=variant)
-    image = dict(program.data)
-    trace = Emulator(program).run(max_instructions=n)
-    assert program.data == image
-    config = fast_test_config(rf_size=64, scheme="atr")
-    stops = [0, 2000, 4000, 6000, 8000, 10_000]
+    blocks = [values for *_span, values in program.data.blocks]
+    contents = [values.tobytes() for values in blocks]
 
-    tracemalloc.start()
-    try:
-        one_copy = _allocated(dict, program.data)[1]
-        warm, forwarding = _allocated(fast_forward, config, trace, stops)
-        cold, building = _allocated(Core, config, trace)
-    finally:
-        tracemalloc.stop()
-    assert forwarding < one_copy, (forwarding, one_copy)
-    assert building < one_copy, (building, one_copy)
-    assert program.data == image
+    def shares_blocks(image):
+        held = [values for *_span, values in image.blocks]
+        return len(held) == len(blocks) and all(
+            mine is theirs for mine, theirs in zip(held, blocks))
+
+    def expanded(*_args):
+        raise AssertionError("the data image was expanded word by word")
+
+    monkeypatch.setattr(DataImage, "_pairs", expanded)  # every word-by-word walk
+    trace = Emulator(program).run(max_instructions=n)
+    config = fast_test_config(rf_size=64, scheme="atr")
+    warm = fast_forward(config, trace, [0, 2000, 4000, 6000, 8000, 10_000])
+    assert all(shares_blocks(checkpoint.data) for checkpoint in warm)
 
     window = SimPoint(interval_index=0, start=10_000, length=n - 10_000,
                       weight=1.0, cluster=0)
-    Core(config, slice_trace(trace, window), warmup=warm[-1]).run()
-    assert program.data == image
-    del cold
-    Core(config, Trace(program=program, entries=trace.entries[:2000])).run()
-    assert program.data == image
+    cores = [Core(config, slice_trace(trace, window), warmup=warm[-1]),
+             Core(config, Trace(program=program, entries=trace.entries[:2000]))]
+    for core in cores:
+        assert shares_blocks(core.trace.program.data)
+        assert shares_blocks(core.stages.execute_unit.data_word.__self__)
+        core.run()
+    monkeypatch.undo()
+    assert [values.tobytes() for values in blocks] == contents
 
 
 #: Every SimStats and SchemeStats field and each window's cycles of four

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.frontend import run_program
 from repro.workloads import (
     ALL_BENCHMARKS,
@@ -113,6 +118,18 @@ class TestSuiteRegistry:
         assert 0.05 < trace.summary()["branch_ratio"] < 0.4
 
 
+def test_importing_the_package_loads_no_numpy():
+    """numpy is imported only inside the functions that draw kernel data
+    or cluster BBVs, so a CLI call that builds no kernel never loads it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = ("import sys, repro.cli, repro.harness, repro.workloads; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 class TestTraceBuild:
     def test_every_ref_is_pinned(self):
         assert sorted(TRACE_DIGESTS["digests"]) == sorted(
@@ -132,6 +149,20 @@ class TestTraceBuild:
                    != digest]
         assert not drifted
 
+    def test_fp_data_image_is_held_as_blocks(self):
+        """bwaves' image is two 2 MiB arrays of 262,144 words.  Held as
+        two blocks, building it retains 4 MiB and peaks at about 8 MiB; a
+        per-word dict retained 52 MiB and peaked at 72 MiB."""
+        tracemalloc.start()  # numpy is imported above, so not counted here
+        try:
+            program = builder_for("503.bwaves_r")(4)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(program.data.blocks) == 2
+        assert retained < 8 << 20, retained
+        assert peak < 24 << 20, peak
+
     @pytest.mark.parametrize("count", [0, 1, 700])
     @pytest.mark.parametrize("bound,start", [
         (1, 0), (2, 0), (3, 0), (256, 0), (1 << 16, 0), (1 << 16, 1),
@@ -142,7 +173,7 @@ class TestTraceBuild:
 
         rng = random.Random(11)
         expected = [rng.randrange(start, bound) for _ in range(count)]
-        assert _lcg_words(11, count, bound, start=start) == expected
+        assert _lcg_words(11, count, bound, start=start).tolist() == expected
 
     @pytest.mark.parametrize("name", ["505.mcf_r", "508.namd_r"])
     def test_cold_build_is_one_functional_pass(self, name, monkeypatch):
